@@ -113,9 +113,12 @@ def diagonal_invariance_check(
 
 
 class ComparisonResult(NamedTuple):
+    """Both kernel values, their gap, and the rate generator (column convention)."""
+
     quantum: complex
     classical: float
     diff: float
+    generator: np.ndarray
 
 
 def compare_quantum_classical(
@@ -149,4 +152,4 @@ def compare_quantum_classical(
     chain = ClassicalChain(states=d, Q=Q_col.T, p0=np.diag(rho.rho).real)
     quantum = kernel_schrodinger(model, rho, query)
     classical = classical_correlation(chain, query.times, f_list)
-    return ComparisonResult(quantum, classical, abs(quantum - classical))
+    return ComparisonResult(quantum, classical, abs(quantum - classical), Q_col)

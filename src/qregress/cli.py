@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import io
-from .classical import compare_quantum_classical, diagonal_invariance_check
+from .classical import compare_quantum_classical
 from .collision import (
     CollisionConfig,
     DEFAULT_BUDGET,
@@ -53,7 +54,11 @@ class _Parser(argparse.ArgumentParser):
 def _collision_config(args) -> CollisionConfig:
     budget = args.budget
     if budget is None:
-        budget = int(os.environ.get("QREGRESS_BUDGET", DEFAULT_BUDGET))
+        raw = os.environ.get("QREGRESS_BUDGET", DEFAULT_BUDGET)
+        try:
+            budget = int(raw)
+        except ValueError as exc:
+            raise ValidationError(f"QREGRESS_BUDGET must be an integer, got {raw!r}") from exc
     return CollisionConfig(dt=args.dt, trunc=args.trunc, budget=budget)
 
 
@@ -129,15 +134,14 @@ def cmd_oracle(args) -> int:
     rho = io.load_density(args.rho)
     query = io.load_query(args.query)
     exact = kernel_schrodinger(model, rho, query)
+    base = _collision_config(args)
     runs = []
-    for dt in (args.dt, args.dt / 2):
-        cfg = _collision_config(args)
-        cfg = CollisionConfig(dt=dt, trunc=cfg.trunc, budget=cfg.budget)
+    for cfg in (base, replace(base, dt=base.dt / 2)):
         if args.mode == "oracle-joint":
             value = oracle_kernel_joint_mixed(model, rho, query, cfg)
         else:
             value = oracle_kernel_sequential(model, rho, query, cfg)
-        runs.append({"dt": dt, "value": io.complex_pair(value), "abs_error": abs(value - exact)})
+        runs.append({"dt": cfg.dt, "value": io.complex_pair(value), "abs_error": abs(value - exact)})
     ratio = runs[0]["abs_error"] / runs[1]["abs_error"] if runs[1]["abs_error"] else float("inf")
     result = {
         "mode": args.mode,
@@ -181,15 +185,12 @@ def cmd_classical(args) -> int:
     model = io.load_model(args.model)
     rho = io.load_density(args.rho)
     query = io.load_query(args.query)
-    invariant, Q_col = diagonal_invariance_check(model)
-    if not invariant:
-        raise ValidationError("model does not preserve the diagonal subalgebra")
     comparison = compare_quantum_classical(model, rho, query)
     result = {
         "quantum": io.complex_pair(comparison.quantum),
         "classical": comparison.classical,
         "diff": comparison.diff,
-        "generator_columns": [[float(x) for x in row] for row in Q_col],
+        "generator_columns": [[float(x) for x in row] for row in comparison.generator],
     }
     io.write_output(io.json_text(result), args.out)
     return EXIT_OK

@@ -26,6 +26,7 @@ Both converge to the exact kernels at first order in dt.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .linalg import as_complex_matrix, dag, mat_exp, unvec, vec
 from .model import DensityOperator, SystemModel
-from .regression import CorrelationQuery
+from .regression import CorrelationQuery, _check_dims
 from .semigroup import SuperOperator
 
 GRID_ATOL = 1e-12
@@ -48,25 +49,22 @@ DEFAULT_BUDGET = 200_000
 
 @dataclass(frozen=True)
 class CollisionConfig:
-    """Field discretization: step dt, ancilla truncation, slot count, budget.
+    """Field discretization: step dt, ancilla truncation, entry budget.
 
-    ``n_slots`` may be None, in which case each oracle run covers exactly the
-    slots needed to reach the last query time.  ``budget`` caps the number of
-    state-vector entries d * trunc**N a joint-mode run may allocate.
+    Each oracle run covers exactly the slots needed to reach the last query
+    time.  ``budget`` caps the number of state-vector entries d * trunc**N a
+    joint-mode run may allocate.
     """
 
     dt: float
     trunc: int = 2
-    n_slots: int | None = None
     budget: int = DEFAULT_BUDGET
 
     def __post_init__(self):
-        if not self.dt > 0:
-            raise ValidationError(f"dt must be positive, got {self.dt}")
+        if not 0 < self.dt < math.inf:
+            raise ValidationError(f"dt must be positive and finite, got {self.dt}")
         if self.trunc < 2:
             raise ValidationError(f"truncation must be >= 2, got {self.trunc}")
-        if self.n_slots is not None and self.n_slots < 1:
-            raise ValidationError(f"n_slots must be >= 1, got {self.n_slots}")
         if self.budget < 1:
             raise ValidationError(f"budget must be positive, got {self.budget}")
 
@@ -112,17 +110,7 @@ def collision_channel(model: SystemModel, cfg: CollisionConfig) -> SuperOperator
     for k in range(m):
         kraus = U4[:, k, :, 0]
         mat += np.kron(kraus.conj(), kraus)
-    return SuperOperator(dim=d, mat=mat, picture="schrodinger")
-
-
-def _query_grid(query: CorrelationQuery, cfg: CollisionConfig) -> list[int]:
-    indices = [grid_index(t, cfg.dt) for t in query.times]
-    if cfg.n_slots is not None and indices[-1] > cfg.n_slots:
-        raise ValidationError(
-            f"query needs {indices[-1]} slots but the configuration provides "
-            f"{cfg.n_slots}"
-        )
-    return indices
+    return SuperOperator(dim=d, mat=mat)
 
 
 def oracle_kernel_sequential(
@@ -132,11 +120,8 @@ def oracle_kernel_sequential(
     cfg: CollisionConfig,
 ) -> complex:
     """Kernel from repeated collision channels on a generalized state."""
-    if query.dim != model.dim or rho.dim != model.dim:
-        raise DimensionError(
-            f"dimension mismatch: model {model.dim}, rho {rho.dim}, query {query.dim}"
-        )
-    indices = _query_grid(query, cfg)
+    _check_dims(model, rho, query)
+    indices = [grid_index(t, cfg.dt) for t in query.times]
     channel = collision_channel(model, cfg).mat
     d = model.dim
     v = vec(rho.rho)
@@ -182,7 +167,7 @@ def oracle_kernel_joint(
         )
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValidationError(f"initial state norm {np.linalg.norm(psi):.12g} is not 1")
-    indices = _query_grid(query, cfg)
+    indices = [grid_index(t, cfg.dt) for t in query.times]
     d, m = model.dim, cfg.trunc
     entries = d * m ** indices[-1]
     if entries > cfg.budget:

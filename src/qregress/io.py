@@ -33,7 +33,10 @@ def parse_matrix(data, where: str) -> np.ndarray:
         for j, pair in enumerate(row):
             if not (isinstance(pair, list) and len(pair) == 2):
                 raise ValidationError(f"{where}: entry ({i},{j}) is not a [re, im] pair")
-            entries.append(complex(float(pair[0]), float(pair[1])))
+            try:
+                entries.append(complex(float(pair[0]), float(pair[1])))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ValidationError(f"{where}: entry ({i},{j}) is not numeric") from exc
         rows.append(entries)
     return np.array(rows, dtype=np.complex128)
 
@@ -53,6 +56,13 @@ def _load_json(path: str | Path) -> dict:
     return data
 
 
+def _dim(data: dict, path: str | Path) -> int:
+    try:
+        return int(data["dim"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: dim {data['dim']!r} is not an integer") from exc
+
+
 def load_model(path: str | Path) -> SystemModel:
     data = _load_json(path)
     for key in ("dim", "H", "L"):
@@ -60,7 +70,7 @@ def load_model(path: str | Path) -> SystemModel:
             raise ValidationError(f"{path}: missing field '{key}'")
     H = parse_matrix(data["H"], f"{path}: H")
     L = parse_matrix(data["L"], f"{path}: L")
-    return validate_model(H, L, dim=int(data["dim"]))
+    return validate_model(H, L, dim=_dim(data, path))
 
 
 def load_density(path: str | Path) -> DensityOperator:
@@ -69,7 +79,7 @@ def load_density(path: str | Path) -> DensityOperator:
         if key not in data:
             raise ValidationError(f"{path}: missing field '{key}'")
     rho = parse_matrix(data["rho"], f"{path}: rho")
-    if rho.shape[0] != int(data["dim"]):
+    if rho.shape[0] != _dim(data, path):
         raise ValidationError(f"{path}: rho shape {rho.shape} contradicts dim {data['dim']}")
     return density_from_matrix(rho)
 
@@ -78,7 +88,10 @@ def load_query(path: str | Path) -> CorrelationQuery:
     data = _load_json(path)
     if "times" not in data or "b_ops" not in data:
         raise ValidationError(f"{path}: missing field 'times' or 'b_ops'")
-    times = tuple(float(t) for t in data["times"])
+    try:
+        times = tuple(float(t) for t in data["times"])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(f"{path}: times must be an array of numbers") from exc
     b_ops = tuple(
         parse_matrix(m, f"{path}: b_ops[{k}]") for k, m in enumerate(data["b_ops"])
     )

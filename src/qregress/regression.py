@@ -22,6 +22,7 @@ genuinely depends on the ordering.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,6 +50,8 @@ class CorrelationQuery:
                 f"got {len(times)} times but {len(self.a_ops)} a_ops "
                 f"and {len(self.b_ops)} b_ops"
             )
+        if not all(map(math.isfinite, times)):
+            raise ValidationError(f"times must be finite, got {times}")
         if times[0] < 0:
             raise TimeOrderError(f"times must be >= 0, got {times[0]}")
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):

@@ -23,7 +23,6 @@ class SuperOperator:
 
     dim: int
     mat: np.ndarray
-    picture: str
 
     def __post_init__(self):
         mat = as_complex_matrix(self.mat, "superoperator matrix")
@@ -32,8 +31,6 @@ class SuperOperator:
                 f"superoperator matrix is {mat.shape}, expected "
                 f"{(self.dim**2, self.dim**2)}"
             )
-        if self.picture not in PICTURES:
-            raise ValueError(f"picture must be one of {PICTURES}, got {self.picture!r}")
         object.__setattr__(self, "mat", mat)
 
     def apply(self, X) -> np.ndarray:
@@ -56,18 +53,14 @@ def generator_matrix(model: SystemModel, picture: str) -> SuperOperator:
         mat = kron(L.T, dag(L)) + decay - 1j * hamil
     else:
         raise ValueError(f"picture must be one of {PICTURES}, got {picture!r}")
-    return SuperOperator(dim=d, mat=mat, picture=picture)
+    return SuperOperator(dim=d, mat=mat)
 
 
 def propagator(generator: SuperOperator, duration: float) -> SuperOperator:
     """exp(generator * duration) as a superoperator; duration must be >= 0."""
     if duration < 0:
         raise TimeOrderError(f"negative duration {duration}")
-    return SuperOperator(
-        dim=generator.dim,
-        mat=mat_exp(generator.mat * duration),
-        picture=generator.picture,
-    )
+    return SuperOperator(dim=generator.dim, mat=mat_exp(generator.mat * duration))
 
 
 def propagate(model: SystemModel, sigma, s: float, t: float) -> np.ndarray:

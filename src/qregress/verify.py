@@ -13,7 +13,6 @@ import numpy as np
 
 from .classical import (
     ClassicalChain,
-    classical_correlation,
     compare_quantum_classical,
     diagonal_invariance_check,
 )
@@ -32,7 +31,6 @@ from .linalg import (
     dag,
     kron,
     mat_exp,
-    matrix_unit,
     min_hermitian_eig,
     partial_trace,
     unvec,
@@ -191,11 +189,9 @@ def check_generators(seed: int, extra_models: list[SystemModel] = ()) -> list[Ch
 # semigroup checks
 
 
-def check_semigroup(
-    seed: int, n_models: int = 25, extra_models: list[SystemModel] = ()
-) -> list[CheckResult]:
+def check_semigroup(seed: int, extra_models: list[SystemModel] = ()) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
-    models = [random_model(rng, int(rng.integers(2, 5))) for _ in range(n_models)]
+    models = [random_model(rng, int(rng.integers(2, 5))) for _ in range(25)]
     models += list(extra_models)
     worst_choi = np.inf
     worst_tp = 0.0
@@ -256,10 +252,10 @@ def check_finite_difference(seed: int) -> list[CheckResult]:
 # regression checks
 
 
-def check_form_equivalence(seed: int, count: int = 100) -> list[CheckResult]:
+def check_form_equivalence(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(count):
+    for _ in range(100):
         d = int(rng.integers(2, 5))
         model = random_model(rng, d)
         rho = random_density(rng, d)

@@ -1,13 +1,7 @@
-import numpy as np
 import pytest
 
-from qregress import DensityOperator, atom_model
-
-# basis convention: index 0 = ground, 1 = excited
-SM = np.array([[0, 1], [0, 0]], dtype=complex)   # lowering |g><e|
-SP = np.array([[0, 0], [1, 0]], dtype=complex)   # raising |e><g|
-NUM = np.array([[0, 0], [0, 1]], dtype=complex)  # |e><e|
-I2 = np.eye(2, dtype=complex)
+from qregress import atom_model
+from qregress.verify import EXCITED
 
 
 @pytest.fixture
@@ -17,9 +11,4 @@ def atom():
 
 @pytest.fixture
 def excited():
-    return DensityOperator(dim=2, rho=np.diag([0.0, 1.0]).astype(complex))
-
-
-@pytest.fixture
-def ground():
-    return DensityOperator(dim=2, rho=np.diag([1.0, 0.0]).astype(complex))
+    return EXCITED

@@ -1,233 +1,78 @@
-"""Acceptance suite: one test per criterion, each printing a pass/fail line.
+"""Acceptance suite: one test per criterion, each asserting named verify checks.
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
-report lines.
+Every criterion is a set of checks from the suite behind ``qregress verify``,
+run at this suite's own seeds, so each property, bound and input generator is
+defined once.  Run with ``pytest tests/test_acceptance.py -v -s`` to see one
+report line per criterion with each check's measured value and bound.
 """
 
-import numpy as np
+import pytest
 
-from qregress import (
-    CollisionConfig,
-    CorrelationQuery,
-    DensityOperator,
-    choi_matrix,
-    compare_quantum_classical,
-    ito_table_check,
-    kernel_heisenberg,
-    kernel_schrodinger,
-    mat_exp,
-    oracle_kernel_joint,
-    oracle_kernel_sequential,
-    vacuum_conditional_expectation,
-)
-from qregress.linalg import min_hermitian_eig, unvec, vec
-from qregress.model import atom_model
-from qregress.semigroup import generator_matrix
-from qregress.verify import random_density, random_model, random_operator
-
-SM = np.array([[0, 1], [0, 0]], dtype=complex)
-SP = np.array([[0, 0], [1, 0]], dtype=complex)
-NUM = np.array([[0, 0], [0, 1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
-ATOM = atom_model(1.0)
-EXCITED = DensityOperator(dim=2, rho=np.diag([0.0, 1.0]).astype(complex))
-EXCITED_KET = np.array([0.0, 1.0], dtype=complex)
+from qregress import verify
 
 
-def report(number: int, passed: bool, detail: str):
-    status = "PASS" if passed else "FAIL"
-    print(f"[acceptance] criterion {number}: {status} ({detail})")
+def report(number: int, results: list[verify.CheckResult], names: tuple[str, ...]):
+    by_name = {r.name: r for r in results}
+    checks = [by_name[name] for name in names]
+    passed = all(c.passed for c in checks)
+    detail = ", ".join(f"{c.name} measured={c.measured:.6e} bound={c.bound}" for c in checks)
+    print(f"[acceptance] criterion {number}: {'PASS' if passed else 'FAIL'} ({detail})")
     assert passed, f"criterion {number} failed: {detail}"
 
 
-def _random_suite(seed=2024, count=25):
-    rng = np.random.default_rng(seed)
-    return rng, [random_model(rng, int(rng.integers(2, 5))) for _ in range(count)]
+@pytest.fixture(scope="module")
+def semigroup_checks():
+    return verify.check_semigroup(2024)
 
 
-def test_criterion_1_cptp_semigroup():
-    rng, models = _random_suite()
-    worst_eig = np.inf
-    worst_tp = 0.0
-    for model in models:
-        gen = generator_matrix(model, "schrodinger").mat
-        for t in (0.1, 1.0, 5.0):
-            P = mat_exp(gen * t)
-            worst_eig = min(worst_eig, min_hermitian_eig(choi_matrix(P)))
-            sigma = random_density(rng, model.dim).rho
-            worst_tp = max(worst_tp, abs(np.trace(unvec(P @ vec(sigma), model.dim)) - 1.0))
-    report(
-        1,
-        worst_eig >= -1e-9 and worst_tp <= 1e-10,
-        f"min Choi eig {worst_eig:.2e} >= -1e-9, trace drift {worst_tp:.2e} <= 1e-10",
-    )
+def test_criterion_1_cptp_semigroup(semigroup_checks):
+    report(1, semigroup_checks, ("semigroup.choi_min_eig", "semigroup.trace_preservation"))
 
 
-def test_criterion_2_semigroup_law_and_duality():
-    rng, models = _random_suite()
-    worst_law = 0.0
-    worst_dual = 0.0
-    for model in models:
-        d = model.dim
-        gen_s = generator_matrix(model, "schrodinger").mat
-        gen_h = generator_matrix(model, "heisenberg").mat
-        a, b = rng.uniform(0.0, 2.0, size=2)
-        worst_law = max(
-            worst_law,
-            np.linalg.norm(mat_exp(gen_s * (a + b)) - mat_exp(gen_s * a) @ mat_exp(gen_s * b)),
-        )
-        t = rng.uniform(0.1, 2.0)
-        X, Y = random_operator(rng, d), random_operator(rng, d)
-        lhs = np.trace(Y @ unvec(mat_exp(gen_h * t) @ vec(X), d))
-        rhs = np.trace(unvec(mat_exp(gen_s * t) @ vec(Y), d) @ X)
-        worst_dual = max(worst_dual, abs(lhs - rhs))
-    report(
-        2,
-        worst_law <= 1e-9 and worst_dual <= 1e-10,
-        f"semigroup law {worst_law:.2e} <= 1e-9, duality {worst_dual:.2e} <= 1e-10",
-    )
+def test_criterion_2_semigroup_law_and_duality(semigroup_checks):
+    report(2, semigroup_checks, ("semigroup.law", "semigroup.duality"))
 
 
 def test_criterion_3_form_equivalence():
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(100):
-        d = int(rng.integers(2, 5))
-        model = random_model(rng, d)
-        rho = random_density(rng, d)
-        n = int(rng.integers(1, 5))
-        query = CorrelationQuery(
-            times=tuple(np.sort(rng.uniform(0.0, 2.0, size=n))),
-            a_ops=tuple(random_operator(rng, d) for _ in range(n)),
-            b_ops=tuple(random_operator(rng, d) for _ in range(n)),
-        )
-        worst = max(
-            worst,
-            abs(kernel_schrodinger(model, rho, query) - kernel_heisenberg(model, rho, query)),
-        )
-    report(3, worst <= 1e-10, f"max |schrodinger - heisenberg| {worst:.2e} <= 1e-10 on 100 queries")
+    report(3, verify.check_form_equivalence(7), ("regression.form_equivalence",))
 
 
 def test_criterion_4_atom_closed_forms():
-    population = kernel_schrodinger(
-        ATOM, EXCITED, CorrelationQuery(times=(1.0,), a_ops=(I2,), b_ops=(NUM,))
-    )
-    dipole = kernel_schrodinger(
-        ATOM,
-        EXCITED,
-        CorrelationQuery(times=(0.5, 1.0), a_ops=(SM, I2), b_ops=(I2, SM)),
-    )
-    err_pop = abs(population - np.exp(-1.0))
-    err_dip = abs(dipole - np.exp(-0.75))
     report(
         4,
-        err_pop <= 1e-10 and err_dip <= 1e-10,
-        f"|w - e^-1| = {err_pop:.2e}, |w - e^-0.75| = {err_dip:.2e}, both <= 1e-10",
+        verify.check_atom_closed_forms(),
+        ("regression.atom_population", "regression.atom_dipole"),
     )
-
-
-SEQ_QUERIES = {
-    1: CorrelationQuery(times=(1.0,), a_ops=(I2,), b_ops=(NUM,)),
-    2: CorrelationQuery(times=(0.5, 1.0), a_ops=(SM, I2), b_ops=(I2, SM)),
-    3: CorrelationQuery(
-        times=(0.25, 0.5, 1.0), a_ops=(I2, I2, I2), b_ops=(SM, SP, NUM)
-    ),
-}
-
-JOINT_QUERIES = {
-    1: CorrelationQuery(times=(0.25,), a_ops=(I2,), b_ops=(NUM,)),
-    2: CorrelationQuery(times=(0.125, 0.25), a_ops=(SM, I2), b_ops=(I2, SM)),
-    3: CorrelationQuery(
-        times=(0.0625, 0.125, 0.25), a_ops=(I2, I2, I2), b_ops=(SM, SP, NUM)
-    ),
-}
 
 
 def test_criterion_5_oracle_convergence():
-    ratios = []
-    for n, query in SEQ_QUERIES.items():
-        exact = kernel_schrodinger(ATOM, EXCITED, query)
-        errs = [
-            abs(oracle_kernel_sequential(ATOM, EXCITED, query, CollisionConfig(dt=dt)) - exact)
-            for dt in (1 / 256, 1 / 512)
-        ]
-        ratios.append((f"seq n={n}", errs[0] / errs[1]))
-    for n, query in JOINT_QUERIES.items():
-        exact = kernel_schrodinger(ATOM, EXCITED, query)
-        errs = [
-            abs(oracle_kernel_joint(ATOM, EXCITED_KET, query, CollisionConfig(dt=dt)) - exact)
-            for dt in (1 / 32, 1 / 64)
-        ]
-        ratios.append((f"joint n={n}", errs[0] / errs[1]))
-    ok = all(1.7 <= r <= 2.3 for _, r in ratios)
-    detail = ", ".join(f"{label} ratio {r:.3f}" for label, r in ratios)
-    report(5, ok, detail + " all in [1.7, 2.3]")
+    names = tuple(
+        f"collision.{mode}_halving_ratio_n{n}"
+        for mode in ("sequential", "joint")
+        for n in (1, 2, 3)
+    )
+    report(5, verify.check_oracle_convergence(), names)
 
 
 def test_criterion_6_ito_table():
-    worst = 0.0
-    for dt in (0.5, 0.01):
-        for m in (2, 3):
-            rep = ito_table_check(CollisionConfig(dt=dt, trunc=m))
-            worst = max(worst, rep.moment_error)
-    report(6, worst <= 1e-15, f"max moment deviation from (dt, 0, 0, 0) is {worst:.2e} <= 1e-15")
+    report(6, verify.check_ito(), ("collision.ito_moments",))
 
 
 def test_criterion_7_conditional_expectation():
-    rng = np.random.default_rng(17)
-    d, m, slots = 2, 2, 4
-    dim = d * m**slots
-    worst_module = 0.0
-    worst_tower = 0.0
-    for _ in range(6):
-        A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        Bp = rng.standard_normal((d * m * m,) * 2) + 1j * rng.standard_normal((d * m * m,) * 2)
-        B = np.kron(Bp, np.eye(m ** (slots - 2)))
-        lhs = vacuum_conditional_expectation(A @ B, d, m, slots, cut=2)
-        rhs = vacuum_conditional_expectation(A, d, m, slots, cut=2) @ Bp
-        worst_module = max(worst_module, np.abs(lhs - rhs).max())
-        inner = vacuum_conditional_expectation(A, d, m, slots, cut=3)
-        two_step = vacuum_conditional_expectation(inner, d, m, 3, cut=1)
-        one_step = vacuum_conditional_expectation(A, d, m, slots, cut=1)
-        worst_tower = max(worst_tower, np.abs(two_step - one_step).max())
     report(
         7,
-        worst_module <= 1e-12 and worst_tower <= 1e-12,
-        f"module property {worst_module:.2e}, tower {worst_tower:.2e}, both <= 1e-12",
+        verify.check_conditional_expectation(17),
+        ("collision.conditional_module_property", "collision.conditional_tower"),
     )
 
 
 def test_criterion_8_classical_embedding():
-    rng = np.random.default_rng(23)
-    absorbing = compare_quantum_classical(
-        ATOM,
-        EXCITED,
-        CorrelationQuery(times=(0.5, 1.0), a_ops=(I2, I2), b_ops=(NUM, NUM)),
-    )
-    worst = absorbing.diff
-    exact_err = abs(absorbing.quantum - np.exp(-1.0))
-    for n in (1, 2, 3, 4):
-        probs = rng.uniform(0.1, 1.0, size=2)
-        rho = DensityOperator(dim=2, rho=np.diag(probs / probs.sum()).astype(complex))
-        query = CorrelationQuery(
-            times=tuple(np.sort(rng.uniform(0.0, 2.0, size=n))),
-            a_ops=tuple(I2 for _ in range(n)),
-            b_ops=tuple(np.diag(rng.uniform(-1, 1, size=2)).astype(complex) for _ in range(n)),
-        )
-        worst = max(worst, compare_quantum_classical(ATOM, rho, query).diff)
     report(
         8,
-        worst <= 1e-10 and exact_err <= 1e-10,
-        f"max quantum/classical diff {worst:.2e} <= 1e-10, absorbing value error {exact_err:.2e}",
+        verify.check_classical(23),
+        ("classical.embedding_diff", "classical.absorbing_two_point"),
     )
 
 
 def test_criterion_9_order_dependence():
-    w1 = kernel_schrodinger(
-        ATOM, EXCITED, CorrelationQuery(times=(0.5, 1.0), a_ops=(I2, I2), b_ops=(SM, SP))
-    )
-    w2 = kernel_schrodinger(
-        ATOM, EXCITED, CorrelationQuery(times=(0.5, 1.0), a_ops=(I2, I2), b_ops=(SP, SM))
-    )
-    gap = abs(w1 - w2)
-    report(9, gap > 0.1, f"swapped-operator kernels differ by {gap:.4f} > 0.1")
+    report(9, verify.check_order_dependence(), ("regression.order_dependence",))

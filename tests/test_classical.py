@@ -12,10 +12,7 @@ from qregress import (
     compare_quantum_classical,
     diagonal_invariance_check,
 )
-
-SM = np.array([[0, 1], [0, 0]], dtype=complex)
-NUM = np.array([[0, 0], [0, 1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
+from qregress.verify import EYE2 as I2, NUMBER as NUM, SIGMA_MINUS as SM
 
 # two states, ordering (g, e); decay e -> g at unit rate
 DECAY_Q = np.array([[0.0, 0.0], [1.0, -1.0]])

@@ -246,6 +246,37 @@ class TestErrorPaths:
         code, _, _ = run(["correlate", "--bogus"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "kind,edit",
+        [
+            ("model", {"dim": "two"}),
+            ("model", {"H": [[["x", 0], [0, 0]], [[0, 0], [0, 0]]]}),
+            ("query", {"times": ["a", 1.0]}),
+            ("query", {"times": 5}),
+            ("env", {"QREGRESS_BUDGET": "abc"}),
+        ],
+        ids=["dim-word", "matrix-entry-word", "times-word", "times-scalar", "budget-env-word"],
+    )
+    def test_malformed_value_is_one_validation_line(
+        self, capsys, tmp_path, monkeypatch, kind, edit
+    ):
+        paths = {"model": MODEL, "query": QUERY}
+        if kind == "env":
+            for name, value in edit.items():
+                monkeypatch.setenv(name, value)
+        else:
+            data = json.loads(Path(paths[kind]).read_text())
+            data.update(edit)
+            paths[kind] = str(tmp_path / f"bad_{kind}.json")
+            Path(paths[kind]).write_text(json.dumps(data))
+        code, _, err = run(
+            ["correlate", "--model", paths["model"], "--rho", RHO, "--query", paths["query"],
+             "--mode", "oracle-joint", "--dt", str(1 / 16)],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("validation error:") and err.count("\n") == 1
+
 
 def test_console_script_runs():
     proc = subprocess.run(

@@ -20,14 +20,15 @@ from qregress import (
     vacuum_conditional_expectation,
 )
 from qregress.regression import CorrelationQuery
-
-SM = np.array([[0, 1], [0, 0]], dtype=complex)
-SP = np.array([[0, 0], [1, 0]], dtype=complex)
-NUM = np.array([[0, 0], [0, 1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
-EXCITED_KET = np.array([0.0, 1.0], dtype=complex)
+from qregress.verify import EXCITED_KET, EYE2 as I2, NUMBER as NUM, SIGMA_MINUS as SM
 
 DIPOLE = CorrelationQuery(times=(0.5, 1.0), a_ops=(SM, I2), b_ops=(I2, SM))
+
+
+class TestCollisionConfig:
+    def test_rejects_infinite_dt(self):
+        with pytest.raises(ValidationError):
+            CollisionConfig(dt=np.inf)
 
 
 class TestSlotAnnihilator:
@@ -202,25 +203,27 @@ class TestVacuumConditionalExpectation:
         out = vacuum_conditional_expectation(X, self.d, self.m, self.slots, cut=2)
         np.testing.assert_allclose(out, np.zeros_like(out), atol=1e-15)
 
-    def test_module_property(self):
+    @pytest.mark.parametrize("slots,cut", [(3, 1), (4, 2)], ids=["slots3", "slots4"])
+    def test_module_property(self, slots, cut):
         rng = np.random.default_rng(2)
-        dim = self._dim()
+        dim = self.d * self.m**slots
+        past = self.d * self.m**cut
         A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        Bp = rng.standard_normal((self.d * self.m,) * 2) + 1j * rng.standard_normal(
-            (self.d * self.m,) * 2
-        )
-        B = np.kron(Bp, np.eye(self.m ** (self.slots - 1)))
-        lhs = vacuum_conditional_expectation(A @ B, self.d, self.m, self.slots, cut=1)
-        rhs = vacuum_conditional_expectation(A, self.d, self.m, self.slots, cut=1) @ Bp
+        Bp = rng.standard_normal((past, past)) + 1j * rng.standard_normal((past, past))
+        B = np.kron(Bp, np.eye(self.m ** (slots - cut)))
+        lhs = vacuum_conditional_expectation(A @ B, self.d, self.m, slots, cut=cut)
+        rhs = vacuum_conditional_expectation(A, self.d, self.m, slots, cut=cut) @ Bp
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
-    def test_tower_property(self):
+    @pytest.mark.parametrize("slots", [3, 4], ids=["slots3", "slots4"])
+    def test_tower_property(self, slots):
+        # condition down to slots - 1, then to 1, versus straight to 1
         rng = np.random.default_rng(3)
-        dim = self._dim()
+        dim = self.d * self.m**slots
         A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        inner = vacuum_conditional_expectation(A, self.d, self.m, self.slots, cut=2)
-        two_step = vacuum_conditional_expectation(inner, self.d, self.m, 2, cut=1)
-        one_step = vacuum_conditional_expectation(A, self.d, self.m, self.slots, cut=1)
+        inner = vacuum_conditional_expectation(A, self.d, self.m, slots, cut=slots - 1)
+        two_step = vacuum_conditional_expectation(inner, self.d, self.m, slots - 1, cut=1)
+        one_step = vacuum_conditional_expectation(A, self.d, self.m, slots, cut=1)
         np.testing.assert_allclose(two_step, one_step, atol=1e-14)
 
     def test_markov_collapse(self):

@@ -14,11 +14,7 @@ from qregress import (
     lindblad_schrodinger,
     validate_model,
 )
-
-SM = np.array([[0, 1], [0, 0]], dtype=complex)
-SP = np.array([[0, 0], [1, 0]], dtype=complex)
-NUM = np.array([[0, 0], [0, 1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
+from qregress.verify import EYE2 as I2, NUMBER as NUM, SIGMA_MINUS as SM, SIGMA_PLUS as SP
 
 
 def small_matrices(dim):

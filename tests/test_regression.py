@@ -3,36 +3,23 @@ import pytest
 
 from qregress import (
     CorrelationQuery,
-    DensityOperator,
     DimensionError,
-    SystemModel,
     TimeOrderError,
+    ValidationError,
     kernel_heisenberg,
     kernel_schrodinger,
     two_time,
 )
 from qregress.linalg import min_hermitian_eig
-
-SM = np.array([[0, 1], [0, 0]], dtype=complex)
-SP = np.array([[0, 0], [1, 0]], dtype=complex)
-NUM = np.array([[0, 0], [0, 1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
-
-
-def random_model(seed, dim):
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    H = 0.5 * (A + A.conj().T)
-    H /= np.linalg.norm(H)
-    B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return SystemModel(dim=dim, H=H, L=B / np.linalg.norm(B))
-
-
-def random_density(seed, dim):
-    rng = np.random.default_rng(seed)
-    M = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    rho = M @ M.conj().T
-    return DensityOperator(dim=dim, rho=rho / np.trace(rho))
+from qregress.verify import (
+    EYE2 as I2,
+    NUMBER as NUM,
+    SIGMA_MINUS as SM,
+    SIGMA_PLUS as SP,
+    random_density,
+    random_model,
+    random_operator,
+)
 
 
 class TestQueryValidation:
@@ -51,6 +38,11 @@ class TestQueryValidation:
     def test_rejects_mixed_dims(self):
         with pytest.raises(DimensionError):
             CorrelationQuery(times=(0.5,), a_ops=(np.eye(3),), b_ops=(I2,))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_times(self, bad):
+        with pytest.raises(ValidationError):
+            CorrelationQuery(times=(0.5, bad), a_ops=(I2, I2), b_ops=(I2, I2))
 
     def test_equal_times_allowed(self):
         q = CorrelationQuery(times=(0.5, 0.5), a_ops=(I2, I2), b_ops=(I2, I2))
@@ -95,8 +87,8 @@ class TestHeisenbergKernel:
         assert abs(kernel_heisenberg(atom, excited, q) - 1.0) <= 1e-12
 
     def test_three_point_random_hermitian(self):
-        model = random_model(71, 3)
-        rho = random_density(72, 3)
+        model = random_model(np.random.default_rng(71), 3)
+        rho = random_density(np.random.default_rng(72), 3)
         rng = np.random.default_rng(73)
 
         def herm():
@@ -136,24 +128,19 @@ class TestKernelStructure:
         rng = np.random.default_rng(100 + n)
         for _ in range(10):
             d = int(rng.integers(2, 5))
-            model = random_model(int(rng.integers(1_000_000)), d)
-            rho = random_density(int(rng.integers(1_000_000)), d)
+            model = random_model(np.random.default_rng(int(rng.integers(1_000_000))), d)
+            rho = random_density(np.random.default_rng(int(rng.integers(1_000_000))), d)
             times = tuple(np.sort(rng.uniform(0.0, 2.0, size=n)))
-
-            def op():
-                G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-                return G / np.linalg.norm(G)
-
             q = CorrelationQuery(
                 times=times,
-                a_ops=tuple(op() for _ in range(n)),
-                b_ops=tuple(op() for _ in range(n)),
+                a_ops=tuple(random_operator(rng, d) for _ in range(n)),
+                b_ops=tuple(random_operator(rng, d) for _ in range(n)),
             )
             assert abs(kernel_schrodinger(model, rho, q) - kernel_heisenberg(model, rho, q)) <= 1e-10
 
     def test_hermitian_symmetry(self):
-        model = random_model(201, 3)
-        rho = random_density(202, 3)
+        model = random_model(np.random.default_rng(201), 3)
+        rho = random_density(np.random.default_rng(202), 3)
         rng = np.random.default_rng(203)
         ops = [
             (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))) / 3
@@ -166,8 +153,8 @@ class TestKernelStructure:
         assert abs(w - np.conj(w_swapped)) <= 1e-10
 
     def test_gram_positivity(self):
-        model = random_model(211, 2)
-        rho = random_density(212, 2)
+        model = random_model(np.random.default_rng(211), 2)
+        rho = random_density(np.random.default_rng(212), 2)
         rng = np.random.default_rng(213)
         times = (0.3, 0.9)
         tuples = [
@@ -191,8 +178,8 @@ class TestKernelStructure:
         assert min_hermitian_eig(gram) >= -1e-9
 
     def test_coincident_times_collapse(self):
-        model = random_model(221, 3)
-        rho = random_density(222, 3)
+        model = random_model(np.random.default_rng(221), 3)
+        rho = random_density(np.random.default_rng(222), 3)
         rng = np.random.default_rng(223)
         ops_a = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)]
         ops_b = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(3)]

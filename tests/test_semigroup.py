@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from qregress import (
+    DimensionError,
     SuperOperator,
     SystemModel,
     TimeOrderError,
@@ -15,20 +16,8 @@ from qregress import (
     propagator,
 )
 from qregress.linalg import matrix_unit, min_hermitian_eig, unvec, vec
-
-SM = np.array([[0, 1], [0, 0]], dtype=complex)
-SP = np.array([[0, 0], [1, 0]], dtype=complex)
-NUM = np.array([[0, 0], [0, 1]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
-
-
-def random_model(seed, dim):
-    rng = np.random.default_rng(seed)
-    A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    H = 0.5 * (A + A.conj().T)
-    H /= np.linalg.norm(H)
-    B = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    return SystemModel(dim=dim, H=H, L=B / np.linalg.norm(B))
+from qregress.verify import EYE2 as I2, NUMBER as NUM, SIGMA_PLUS as SP
+from qregress.verify import random_density, random_model
 
 
 class TestGeneratorMatrix:
@@ -51,7 +40,7 @@ class TestGeneratorMatrix:
     ])
     def test_matrix_unit_columns(self, picture, direct):
         # brute-force oracle: column j of the matrix is vec(generator(E_j))
-        model = random_model(17, 3)
+        model = random_model(np.random.default_rng(17), 3)
         gen = generator_matrix(model, picture)
         for i in range(3):
             for j in range(3):
@@ -60,7 +49,7 @@ class TestGeneratorMatrix:
                 np.testing.assert_allclose(column, vec(direct(model, unit)), atol=1e-12)
 
     def test_apply_is_linear(self):
-        model = random_model(23, 2)
+        model = random_model(np.random.default_rng(23), 2)
         gen = generator_matrix(model, "schrodinger")
         rng = np.random.default_rng(1)
         X = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -93,11 +82,8 @@ class TestPropagate:
     def test_maps_densities_to_densities(self):
         from qregress import DensityOperator
 
-        model = random_model(53, 3)
-        rng = np.random.default_rng(7)
-        M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        rho = M @ M.conj().T
-        rho /= np.trace(rho)
+        model = random_model(np.random.default_rng(53), 3)
+        rho = random_density(np.random.default_rng(7), 3).rho
         out = propagate(model, rho, 0.0, 2.0)
         DensityOperator(dim=3, rho=out)  # construction enforces the invariants
 
@@ -124,7 +110,7 @@ class TestHeisenbergEvolve:
 class TestSemigroupProperties:
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_semigroup_law_and_homogeneity(self, dim):
-        model = random_model(dim + 5, dim)
+        model = random_model(np.random.default_rng(dim + 5), dim)
         gen = generator_matrix(model, "schrodinger")
         rng = np.random.default_rng(dim)
         a, b = rng.uniform(0.0, 2.0, size=2)
@@ -142,13 +128,13 @@ class TestSemigroupProperties:
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 5.0])
     def test_complete_positivity(self, t):
-        model = random_model(31, 3)
+        model = random_model(np.random.default_rng(31), 3)
         gen = generator_matrix(model, "schrodinger")
         choi = choi_matrix(propagator(gen, t).mat)
         assert min_hermitian_eig(choi) >= -1e-9
 
     def test_trace_preservation(self):
-        model = random_model(41, 4)
+        model = random_model(np.random.default_rng(41), 4)
         gen = generator_matrix(model, "schrodinger")
         rng = np.random.default_rng(4)
         sigma = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -156,7 +142,7 @@ class TestSemigroupProperties:
         assert abs(np.trace(evolved) - np.trace(sigma)) <= 1e-10
 
     def test_duality(self):
-        model = random_model(43, 3)
+        model = random_model(np.random.default_rng(43), 3)
         gen_h = generator_matrix(model, "heisenberg")
         gen_s = generator_matrix(model, "schrodinger")
         rng = np.random.default_rng(6)
@@ -168,12 +154,9 @@ class TestSemigroupProperties:
         assert abs(lhs - rhs) <= 1e-10
 
     def test_forward_difference_recovers_generator(self):
-        model = random_model(47, 3)
+        model = random_model(np.random.default_rng(47), 3)
         gen = generator_matrix(model, "schrodinger")
-        rng = np.random.default_rng(8)
-        M = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-        sigma = M @ M.conj().T
-        sigma /= np.trace(sigma)
+        sigma = random_density(np.random.default_rng(8), 3).rho
         exact = lindblad_schrodinger(model, sigma)
 
         def err(h):
@@ -184,5 +167,5 @@ class TestSemigroupProperties:
         assert 1.7 <= e1 / e2 <= 2.3  # first order in h
 
     def test_superoperator_shape_validation(self):
-        with pytest.raises(Exception):
-            SuperOperator(dim=2, mat=np.eye(3), picture="schrodinger")
+        with pytest.raises(DimensionError):
+            SuperOperator(dim=2, mat=np.eye(3))
