@@ -88,6 +88,8 @@ def load_query(path: str | Path) -> CorrelationQuery:
     data = _load_json(path)
     if "times" not in data or "b_ops" not in data:
         raise ValidationError(f"{path}: missing field 'times' or 'b_ops'")
+    if not isinstance(data["times"], list):
+        raise ValidationError(f"{path}: times must be an array of numbers")
     try:
         times = tuple(float(t) for t in data["times"])
     except (TypeError, ValueError, OverflowError) as exc:

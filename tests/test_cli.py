@@ -253,9 +253,11 @@ class TestErrorPaths:
             ("model", {"H": [[["x", 0], [0, 0]], [[0, 0], [0, 0]]]}),
             ("query", {"times": ["a", 1.0]}),
             ("query", {"times": 5}),
+            ("query", {"times": "01"}),
             ("env", {"QREGRESS_BUDGET": "abc"}),
         ],
-        ids=["dim-word", "matrix-entry-word", "times-word", "times-scalar", "budget-env-word"],
+        ids=["dim-word", "matrix-entry-word", "times-word", "times-scalar", "times-string",
+             "budget-env-word"],
     )
     def test_malformed_value_is_one_validation_line(
         self, capsys, tmp_path, monkeypatch, kind, edit
