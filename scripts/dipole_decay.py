@@ -10,10 +10,8 @@ import argparse
 
 import numpy as np
 
-from qregress import DensityOperator, atom_model, two_time
-
-SM = np.array([[0, 1], [0, 0]], dtype=complex)
-SP = np.array([[0, 0], [1, 0]], dtype=complex)
+from qregress import atom_model, two_time
+from qregress.verify import EXCITED, SIGMA_MINUS, SIGMA_PLUS
 
 
 def main():
@@ -26,13 +24,12 @@ def main():
     args = parser.parse_args()
 
     model = atom_model(args.gamma)
-    excited = DensityOperator(dim=2, rho=np.diag([0.0, 1.0]).astype(complex))
     grid = np.linspace(args.t1, args.t2_max, args.points)
 
     rows = ["t2,computed,closed_form,abs_error"]
     worst = 0.0
     for t2 in grid:
-        w = two_time(model, excited, SP, SM, args.t1, t2).real
+        w = two_time(model, EXCITED, SIGMA_PLUS, SIGMA_MINUS, args.t1, t2).real
         closed = np.exp(-args.gamma * args.t1) * np.exp(-args.gamma * (t2 - args.t1) / 2)
         worst = max(worst, abs(w - closed))
         rows.append(f"{t2:.12g},{w:.16e},{closed:.16e},{abs(w - closed):.3e}")

@@ -8,20 +8,15 @@ entry budget), printing the error table with halving ratios.
 
 import argparse
 
-import numpy as np
-
 from qregress import (
     CollisionConfig,
     CorrelationQuery,
-    DensityOperator,
     atom_model,
     kernel_schrodinger,
     oracle_kernel_joint,
     oracle_kernel_sequential,
 )
-
-SM = np.array([[0, 1], [0, 0]], dtype=complex)
-I2 = np.eye(2, dtype=complex)
+from qregress.verify import EXCITED, EXCITED_KET, EYE2, SIGMA_MINUS
 
 
 def table(label, errors):
@@ -40,24 +35,26 @@ def main():
     args = parser.parse_args()
 
     model = atom_model(args.gamma)
-    excited = DensityOperator(dim=2, rho=np.diag([0.0, 1.0]).astype(complex))
-    excited_ket = np.array([0.0, 1.0], dtype=complex)
 
-    seq_query = CorrelationQuery(times=(0.5, 1.0), a_ops=(SM, I2), b_ops=(I2, SM))
-    exact = kernel_schrodinger(model, excited, seq_query)
+    seq_query = CorrelationQuery(
+        times=(0.5, 1.0), a_ops=(SIGMA_MINUS, EYE2), b_ops=(EYE2, SIGMA_MINUS)
+    )
+    exact = kernel_schrodinger(model, EXCITED, seq_query)
     seq_errors = []
     for k in (5, 6, 7, 8, 9):
         dt = 2.0**-k
-        w = oracle_kernel_sequential(model, excited, seq_query, CollisionConfig(dt=dt))
+        w = oracle_kernel_sequential(model, EXCITED, seq_query, CollisionConfig(dt=dt))
         seq_errors.append((dt, abs(w - exact)))
     table(f"sequential oracle, dipole kernel (exact {exact.real:.10f})", seq_errors)
 
-    joint_query = CorrelationQuery(times=(0.125, 0.25), a_ops=(SM, I2), b_ops=(I2, SM))
-    exact_joint = kernel_schrodinger(model, excited, joint_query)
+    joint_query = CorrelationQuery(
+        times=(0.125, 0.25), a_ops=(SIGMA_MINUS, EYE2), b_ops=(EYE2, SIGMA_MINUS)
+    )
+    exact_joint = kernel_schrodinger(model, EXCITED, joint_query)
     joint_errors = []
     for k in (4, 5, 6):
         dt = 2.0**-k
-        w = oracle_kernel_joint(model, excited_ket, joint_query, CollisionConfig(dt=dt))
+        w = oracle_kernel_joint(model, EXCITED_KET, joint_query, CollisionConfig(dt=dt))
         joint_errors.append((dt, abs(w - exact_joint)))
     table(f"joint-state oracle, short dipole kernel (exact {exact_joint.real:.10f})", joint_errors)
 

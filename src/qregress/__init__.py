@@ -61,9 +61,8 @@ from .regression import (
 from .semigroup import (
     SuperOperator,
     generator_matrix,
-    heisenberg_evolve,
-    propagate,
     propagator,
+    propagators,
 )
 
 __version__ = "0.1.0"
@@ -92,7 +91,6 @@ __all__ = [
     "density_from_matrix",
     "diagonal_invariance_check",
     "generator_matrix",
-    "heisenberg_evolve",
     "ito_table_check",
     "kernel_heisenberg",
     "kernel_schrodinger",
@@ -104,8 +102,8 @@ __all__ = [
     "oracle_kernel_joint_mixed",
     "oracle_kernel_sequential",
     "partial_trace",
-    "propagate",
     "propagator",
+    "propagators",
     "pure_density",
     "slot_annihilator",
     "step_unitary",

@@ -15,9 +15,10 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DimensionError, TimeOrderError, ValidationError
-from .linalg import mat_exp, matrix_unit
+from .linalg import matrix_unit
 from .model import DensityOperator, SystemModel, lindblad_schrodinger
 from .regression import CorrelationQuery, kernel_schrodinger
+from .semigroup import propagators
 
 CHAIN_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
@@ -53,9 +54,7 @@ class ClassicalChain:
 
     def transition_matrix(self, t: float) -> np.ndarray:
         """P(t) = exp(Q t), stochastic for t >= 0."""
-        if t < 0:
-            raise TimeOrderError(f"negative duration {t}")
-        return mat_exp(self.Q * t).real
+        return propagators(self.Q, (t,))[t].real
 
 
 def classical_correlation(

@@ -24,10 +24,10 @@ from .collision import (
     oracle_kernel_sequential,
 )
 from .errors import QRegressError, ValidationError
-from .linalg import mat_exp, unvec, vec
+from .linalg import unvec, vec
 from .model import atom_model
 from .regression import kernel_heisenberg, kernel_schrodinger
-from .semigroup import generator_matrix
+from .semigroup import generator_matrix, propagator
 from .verify import run_all
 
 EXIT_OK = 0
@@ -67,11 +67,10 @@ def cmd_evolve(args) -> int:
     rho = io.load_density(args.rho)
     if args.steps < 1:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
-    if not args.t_end > 0:
-        raise UsageError(f"--t-end must be positive, got {args.t_end}")
+    if not 0 < args.t_end < np.inf:
+        raise UsageError(f"--t-end must be positive and finite, got {args.t_end}")
     d = model.dim
-    gen = generator_matrix(model, "schrodinger").mat
-    step = mat_exp(gen * (args.t_end / args.steps))
+    step = propagator(generator_matrix(model, "schrodinger"), args.t_end / args.steps).mat
     header = ["t"]
     for i in range(d):
         for j in range(d):

@@ -84,6 +84,12 @@ def load_density(path: str | Path) -> DensityOperator:
     return density_from_matrix(rho)
 
 
+def _matrices(data: dict, key: str, path: str | Path) -> tuple[np.ndarray, ...]:
+    if not isinstance(data[key], list):
+        raise ValidationError(f"{path}: {key} must be an array of matrices")
+    return tuple(parse_matrix(m, f"{path}: {key}[{k}]") for k, m in enumerate(data[key]))
+
+
 def load_query(path: str | Path) -> CorrelationQuery:
     data = _load_json(path)
     if "times" not in data or "b_ops" not in data:
@@ -94,13 +100,9 @@ def load_query(path: str | Path) -> CorrelationQuery:
         times = tuple(float(t) for t in data["times"])
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: times must be an array of numbers") from exc
-    b_ops = tuple(
-        parse_matrix(m, f"{path}: b_ops[{k}]") for k, m in enumerate(data["b_ops"])
-    )
+    b_ops = _matrices(data, "b_ops", path)
     if "a_ops" in data and data["a_ops"] is not None:
-        a_ops = tuple(
-            parse_matrix(m, f"{path}: a_ops[{k}]") for k, m in enumerate(data["a_ops"])
-        )
+        a_ops = _matrices(data, "a_ops", path)
     else:
         dim = b_ops[0].shape[0] if b_ops else 0
         a_ops = tuple(np.eye(dim, dtype=np.complex128) for _ in times)

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, TimeOrderError, ValidationError
-from .linalg import as_complex_matrix, dag, mat_exp, unvec, vec
+from .linalg import as_complex_matrix, dag, unvec, vec
 from .model import DensityOperator, SystemModel
-from .semigroup import generator_matrix
+from .semigroup import generator_matrix, propagators
 
 
 @dataclass(frozen=True)
@@ -84,31 +84,19 @@ def _check_dims(model: SystemModel, rho: DensityOperator, query: CorrelationQuer
         )
 
 
-class _PropagatorCache:
-    """exp(generator * duration), memoized per distinct duration."""
-
-    def __init__(self, generator_mat: np.ndarray):
-        self._gen = generator_mat
-        self._cache: dict[float, np.ndarray] = {}
-
-    def __call__(self, duration: float) -> np.ndarray:
-        if duration not in self._cache:
-            self._cache[duration] = mat_exp(self._gen * duration)
-        return self._cache[duration]
-
-
 def kernel_schrodinger(
     model: SystemModel, rho: DensityOperator, query: CorrelationQuery
 ) -> complex:
     """Evaluate the kernel by the nested Schrodinger-picture recursion."""
     _check_dims(model, rho, query)
     d = model.dim
-    prop = _PropagatorCache(generator_matrix(model, "schrodinger").mat)
     t = query.times
-    sigma = unvec(prop(t[0]) @ vec(rho.rho), d)
-    for k in range(query.n - 1):
+    steps = [t2 - t1 for t1, t2 in zip(t, t[1:])]
+    prop = propagators(generator_matrix(model, "schrodinger").mat, [t[0], *steps])
+    sigma = unvec(prop[t[0]] @ vec(rho.rho), d)
+    for k, tau in enumerate(steps):
         sandwiched = query.b_ops[k] @ sigma @ dag(query.a_ops[k])
-        sigma = unvec(prop(t[k + 1] - t[k]) @ vec(sandwiched), d)
+        sigma = unvec(prop[tau] @ vec(sandwiched), d)
     return complex(np.trace(query.b_ops[-1] @ sigma @ dag(query.a_ops[-1])))
 
 
@@ -118,14 +106,15 @@ def kernel_heisenberg(
     """Evaluate the kernel by the nested Heisenberg-picture expression."""
     _check_dims(model, rho, query)
     d = model.dim
-    prop_h = _PropagatorCache(generator_matrix(model, "heisenberg").mat)
-    prop_s = _PropagatorCache(generator_matrix(model, "schrodinger").mat)
     t = query.times
+    steps = [t2 - t1 for t1, t2 in zip(t, t[1:])]
+    prop_h = propagators(generator_matrix(model, "heisenberg").mat, steps)
+    prop_s = propagators(generator_matrix(model, "schrodinger").mat, [t[0]])
     G = dag(query.a_ops[-1]) @ query.b_ops[-1]
     for k in range(query.n - 2, -1, -1):
-        evolved = unvec(prop_h(t[k + 1] - t[k]) @ vec(G), d)
+        evolved = unvec(prop_h[steps[k]] @ vec(G), d)
         G = dag(query.a_ops[k]) @ evolved @ query.b_ops[k]
-    sigma1 = unvec(prop_s(t[0]) @ vec(rho.rho), d)
+    sigma1 = unvec(prop_s[t[0]] @ vec(rho.rho), d)
     return complex(np.trace(sigma1 @ G))
 
 

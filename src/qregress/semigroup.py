@@ -6,15 +6,23 @@ Everything here follows the column-stacking convention fixed in
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, TimeOrderError
-from .linalg import as_complex_matrix, dag, kron, mat_exp, unvec, vec
+from .errors import DimensionError, TimeOrderError, ValidationError
+from .linalg import EXP_NORM_LIMIT, as_complex_matrix, dag, kron, mat_exp, unvec, vec
 from .model import SystemModel
 
 PICTURES = ("heisenberg", "schrodinger")
+
+# Each squaring doubles the rounding error of the modes that do not decay, so
+# k halvings cost about 2**k ulps: at k = 16 the stationary state of random
+# d = 2..8 models stayed within 6e-11 (bound 1e-10); longer ones are rejected.
+MAX_HALVINGS = 16
+# Just under mat_exp's limit: ||G|| * tau and ||G * tau|| differ in the last bits.
+_SPLIT_NORM = EXP_NORM_LIMIT * (1 - 1e-9)
 
 
 @dataclass(frozen=True)
@@ -56,24 +64,35 @@ def generator_matrix(model: SystemModel, picture: str) -> SuperOperator:
     return SuperOperator(dim=d, mat=mat)
 
 
+def propagators(generator: np.ndarray, durations) -> dict[float, np.ndarray]:
+    """exp(generator * tau) for each distinct duration tau >= 0.
+
+    A duration whose exponent exceeds ``EXP_NORM_LIMIT`` is split exactly,
+    exp(G tau) = exp(G tau / 2**k)**(2**k), with the fewest halvings k that
+    suffice; k = 0 exponentiates ``generator * tau`` itself.
+    """
+    gen_norm = np.linalg.norm(generator)
+    out: dict[float, np.ndarray] = {}
+    for tau in durations:
+        if tau in out:
+            continue
+        if not math.isfinite(tau):
+            raise ValidationError(f"duration must be finite, got {tau}")
+        if tau < 0:
+            raise TimeOrderError(f"negative duration {tau}")
+        excess = gen_norm * tau / _SPLIT_NORM
+        if excess > 2.0**MAX_HALVINGS:
+            raise ValidationError(
+                f"duration {tau} needs more than {MAX_HALVINGS} halvings to bring "
+                f"||G|| tau = {gen_norm * tau:.3g} under {EXP_NORM_LIMIT}")
+        k = math.ceil(math.log2(excess)) if excess > 1.0 else 0
+        P = mat_exp(generator * math.ldexp(tau, -k))
+        for _ in range(k):
+            P = P @ P
+        out[tau] = P
+    return out
+
+
 def propagator(generator: SuperOperator, duration: float) -> SuperOperator:
     """exp(generator * duration) as a superoperator; duration must be >= 0."""
-    if duration < 0:
-        raise TimeOrderError(f"negative duration {duration}")
-    return SuperOperator(dim=generator.dim, mat=mat_exp(generator.mat * duration))
-
-
-def propagate(model: SystemModel, sigma, s: float, t: float) -> np.ndarray:
-    """Schrodinger-picture evolution of sigma from time s to t >= s."""
-    if t < s:
-        raise TimeOrderError(f"t = {t} precedes s = {s}")
-    gen = generator_matrix(model, "schrodinger")
-    return propagator(gen, t - s).apply(sigma)
-
-
-def heisenberg_evolve(model: SystemModel, X, s: float, t: float) -> np.ndarray:
-    """Heisenberg-picture evolution of the observable X from time s to t >= s."""
-    if t < s:
-        raise TimeOrderError(f"t = {t} precedes s = {s}")
-    gen = generator_matrix(model, "heisenberg")
-    return propagator(gen, t - s).apply(X)
+    return SuperOperator(dim=generator.dim, mat=propagators(generator.mat, (duration,))[duration])

@@ -48,7 +48,7 @@ from .regression import (
     kernel_heisenberg,
     kernel_schrodinger,
 )
-from .semigroup import generator_matrix
+from .semigroup import generator_matrix, propagators
 
 EYE2 = np.eye(2, dtype=np.complex128)
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=np.complex128)
@@ -202,27 +202,22 @@ def check_semigroup(seed: int, extra_models: list[SystemModel] = ()) -> list[Che
         d = model.dim
         gen_s = generator_matrix(model, "schrodinger").mat
         gen_h = generator_matrix(model, "heisenberg").mat
-        for t in (0.1, 0.5, 1.0, 5.0):
-            P = mat_exp(gen_s * t)
+        for P in propagators(gen_s, (0.1, 0.5, 1.0, 5.0)).values():
             worst_choi = min(worst_choi, min_hermitian_eig(choi_matrix(P)))
             sigma = random_density(rng, d).rho
             evolved = unvec(P @ vec(sigma), d)
             worst_tp = max(worst_tp, abs(np.trace(evolved) - np.trace(sigma)))
         a, b = rng.uniform(0.0, 2.0, size=2)
-        worst_law = max(
-            worst_law,
-            np.linalg.norm(mat_exp(gen_s * (a + b)) - mat_exp(gen_s * a) @ mat_exp(gen_s * b)),
-        )
         t = rng.uniform(0.1, 2.0)
+        P_s = propagators(gen_s, (a + b, a, b, t))
+        P_h = propagators(gen_h, (t,))[t]
+        worst_law = max(worst_law, np.linalg.norm(P_s[a + b] - P_s[a] @ P_s[b]))
         eye = np.eye(d, dtype=np.complex128)
-        worst_unital = max(
-            worst_unital,
-            np.abs(unvec(mat_exp(gen_h * t) @ vec(eye), d) - eye).max(),
-        )
+        worst_unital = max(worst_unital, np.abs(unvec(P_h @ vec(eye), d) - eye).max())
         X = random_operator(rng, d)
         Y = random_operator(rng, d)
-        lhs = np.trace(Y @ unvec(mat_exp(gen_h * t) @ vec(X), d))
-        rhs = np.trace(unvec(mat_exp(gen_s * t) @ vec(Y), d) @ X)
+        lhs = np.trace(Y @ unvec(P_h @ vec(X), d))
+        rhs = np.trace(unvec(P_s[t] @ vec(Y), d) @ X)
         worst_dual = max(worst_dual, abs(lhs - rhs))
     return [
         _ge("semigroup.choi_min_eig", worst_choi, -1e-9),
@@ -237,14 +232,10 @@ def check_finite_difference(seed: int) -> list[CheckResult]:
     rng = np.random.default_rng(seed)
     model = random_model(rng, 3)
     sigma = random_density(rng, 3).rho
-    gen = generator_matrix(model, "schrodinger").mat
     exact = lindblad_schrodinger(model, sigma)
-
-    def err(h: float) -> float:
-        forward = (unvec(mat_exp(gen * h) @ vec(sigma), 3) - sigma) / h
-        return np.linalg.norm(forward - exact)
-
-    ratio = err(1e-3) / err(5e-4)
+    P = propagators(generator_matrix(model, "schrodinger").mat, (1e-3, 5e-4))
+    err = [np.linalg.norm((unvec(P[h] @ vec(sigma), 3) - sigma) / h - exact) for h in P]
+    ratio = err[0] / err[1]
     return [_in("semigroup.forward_difference_ratio", ratio, 1.7, 2.3)]
 
 
@@ -410,7 +401,7 @@ def check_channel_order(seed: int) -> list[CheckResult]:
 
         def defect(dt: float) -> float:
             E = collision_channel(model, CollisionConfig(dt=dt, trunc=2)).mat
-            return np.linalg.norm(E - mat_exp(gen * dt))
+            return np.linalg.norm(E - propagators(gen, (dt,))[dt])
 
         ratio = defect(0.02) / defect(0.01)
         results.append(_in(f"collision.channel_second_order_{label}", ratio, 3.2, 4.8))

@@ -1,11 +1,16 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qregress.cli import main
 
@@ -55,6 +60,15 @@ class TestEvolve:
         assert code == 0
         rows = [line.split(",")[1:] for line in out.read_text().strip().split("\n")[1:]]
         assert all(row == rows[0] for row in rows)
+
+    @pytest.mark.filterwarnings("error")
+    def test_infinite_t_end_is_one_usage_line(self, capsys):
+        code, _, err = run(
+            ["evolve", "--model", MODEL, "--rho", RHO, "--t-end", "inf", "--steps", "4"],
+            capsys,
+        )
+        assert code == 1
+        assert err.startswith("usage error:") and err.count("\n") == 1
 
     def test_zero_steps_usage_error(self, capsys):
         code, _, err = run(
@@ -187,6 +201,20 @@ class TestClassicalCommand:
         assert abs(result["quantum"][0] - np.exp(-1.0)) <= 1e-10
         assert result["diff"] <= 1e-10
 
+    def test_long_duration(self, capsys, tmp_path):
+        # both the quantum and the classical exponent exceed mat_exp's norm limit
+        query = tmp_path / "long_query.json"
+        ground = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 0.0]]]
+        query.write_text(json.dumps({"times": [0.5, 40.0], "b_ops": [ground, ground]}))
+        code, out, _ = run(
+            ["classical", "--model", MODEL, "--rho", RHO, "--query", str(query)],
+            capsys,
+        )
+        assert code == 0
+        result = json.loads(out)
+        assert abs(result["quantum"][0] - (1 - np.exp(-0.5))) <= 1e-10
+        assert result["diff"] <= 1e-10
+
 
 class TestVerifyCommand:
     def test_default_suite_passes(self, capsys):
@@ -254,10 +282,12 @@ class TestErrorPaths:
             ("query", {"times": ["a", 1.0]}),
             ("query", {"times": 5}),
             ("query", {"times": "01"}),
+            ("query", {"b_ops": 5}),
+            ("query", {"a_ops": 5}),
             ("env", {"QREGRESS_BUDGET": "abc"}),
         ],
         ids=["dim-word", "matrix-entry-word", "times-word", "times-scalar", "times-string",
-             "budget-env-word"],
+             "b-ops-scalar", "a-ops-scalar", "budget-env-word"],
     )
     def test_malformed_value_is_one_validation_line(
         self, capsys, tmp_path, monkeypatch, kind, edit
@@ -278,6 +308,33 @@ class TestErrorPaths:
         )
         assert code == 1
         assert err.startswith("validation error:") and err.count("\n") == 1
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@given(edit=st.fixed_dictionaries(
+    {}, optional={key: JSON_VALUES for key in ("times", "a_ops", "b_ops")}
+))
+@settings(max_examples=60, deadline=1000)
+def test_fuzzed_query_file_keeps_exit_contract(tmp_path_factory, edit):
+    data = json.loads(Path(QUERY).read_text())
+    data.update(edit)
+    query = tmp_path_factory.getbasetemp() / "fuzzed_query.json"
+    query.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    # a warning would print a second stderr line, so it fails the test here
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["correlate", "--model", MODEL, "--rho", RHO, "--query", str(query)])
+    assert code in (0, 1, 2, 3)
+    assert err.getvalue().count("\n") <= 1
 
 
 def test_console_script_runs():

@@ -1,16 +1,19 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from qregress import (
     CorrelationQuery,
     DimensionError,
     TimeOrderError,
     ValidationError,
+    atom_model,
+    generator_matrix,
     kernel_heisenberg,
     kernel_schrodinger,
     two_time,
 )
-from qregress.linalg import min_hermitian_eig
+from qregress.linalg import matrix_unit, min_hermitian_eig, unvec
 from qregress.verify import (
     EYE2 as I2,
     NUMBER as NUM,
@@ -120,6 +123,50 @@ class TestTwoTime:
     def test_rejects_reverse_times(self, atom, excited):
         with pytest.raises(TimeOrderError):
             two_time(atom, excited, SP, SM, 1.0, 0.5)
+
+
+class TestLongDurations:
+    """Durations whose exponent exceeds mat_exp's norm limit, in both pictures."""
+
+    @staticmethod
+    def both(model, rho, query):
+        return kernel_schrodinger(model, rho, query), kernel_heisenberg(model, rho, query)
+
+    @pytest.mark.parametrize("gamma,t", [(1.0, 40.0), (1.0, 100.0), (25.0, 2.0)])
+    def test_atom_population(self, excited, gamma, t):
+        q = CorrelationQuery(times=(0.0, t), a_ops=(I2, I2), b_ops=(I2, NUM))
+        ws, wh = self.both(atom_model(gamma), excited, q)
+        exact = np.exp(-gamma * t)
+        assert abs(ws - exact) <= 1e-12 * exact
+        assert abs(wh - exact) <= 1e-12 * exact
+        assert abs(ws - wh) <= 1e-12
+
+    def test_atom_dipole(self, atom, excited):
+        q = CorrelationQuery(times=(0.5, 100.5), a_ops=(SM, I2), b_ops=(I2, SM))
+        ws, wh = self.both(atom, excited, q)
+        exact = np.exp(-0.5 - 100.0 / 2)
+        assert abs(ws - exact) <= 1e-12 * exact
+        assert abs(wh - exact) <= 1e-12 * exact
+        assert abs(ws - wh) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_relaxes_to_stationary_state(self, dim):
+        rng = np.random.default_rng(dim + 80)
+        model, rho = random_model(rng, dim), random_density(rng, dim)
+        null = scipy.linalg.null_space(generator_matrix(model, "schrodinger").mat)
+        assert null.shape[1] == 1
+        stationary = unvec(null[:, 0], dim)
+        stationary /= np.trace(stationary)
+        eye = np.eye(dim)
+        for i in range(dim):
+            for j in range(dim):
+                q = CorrelationQuery(
+                    times=(0.0, 1e3), a_ops=(eye, eye), b_ops=(eye, matrix_unit(dim, i, j))
+                )
+                ws, wh = self.both(model, rho, q)
+                assert abs(ws - stationary[j, i]) <= 1e-10
+                assert abs(wh - stationary[j, i]) <= 1e-10
+                assert abs(ws - wh) <= 1e-12
 
 
 class TestKernelStructure:

@@ -6,16 +6,17 @@ from qregress import (
     SuperOperator,
     SystemModel,
     TimeOrderError,
+    ValidationError,
     choi_matrix,
     generator_matrix,
-    heisenberg_evolve,
     lindblad_heisenberg,
     lindblad_schrodinger,
     mat_exp,
-    propagate,
     propagator,
+    propagators,
 )
-from qregress.linalg import matrix_unit, min_hermitian_eig, unvec, vec
+from qregress.linalg import EXP_NORM_LIMIT, matrix_unit, min_hermitian_eig, unvec, vec
+from qregress.semigroup import MAX_HALVINGS
 from qregress.verify import EYE2 as I2, NUMBER as NUM, SIGMA_PLUS as SP
 from qregress.verify import random_density, random_model
 
@@ -60,51 +61,82 @@ class TestGeneratorMatrix:
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
 
+def evolve(model, picture, X, s, t):
+    """Evolve X from time s to t in the given picture."""
+    return propagator(generator_matrix(model, picture), t - s).apply(X)
+
+
 class TestPropagate:
     def test_zero_duration_is_identity(self, atom):
         rng = np.random.default_rng(2)
         sigma = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        np.testing.assert_allclose(propagate(atom, sigma, 1.0, 1.0), sigma, atol=1e-14)
+        np.testing.assert_allclose(
+            evolve(atom, "schrodinger", sigma, 1.0, 1.0), sigma, atol=1e-14
+        )
 
     def test_population_decay(self, atom, excited):
-        out = propagate(atom, excited.rho, 0.0, 1.0)
+        out = evolve(atom, "schrodinger", excited.rho, 0.0, 1.0)
         expected = np.diag([1 - np.exp(-1.0), np.exp(-1.0)]).astype(complex)
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_coherence_decay(self, atom):
-        out = propagate(atom, SP, 0.0, 1.0)
+        out = evolve(atom, "schrodinger", SP, 0.0, 1.0)
         np.testing.assert_allclose(out, np.exp(-0.5) * SP, atol=1e-12)
 
     def test_rejects_reverse_time(self, atom):
         with pytest.raises(TimeOrderError):
-            propagate(atom, I2 / 2, 1.0, 0.5)
+            evolve(atom, "schrodinger", I2 / 2, 1.0, 0.5)
 
     def test_maps_densities_to_densities(self):
         from qregress import DensityOperator
 
         model = random_model(np.random.default_rng(53), 3)
         rho = random_density(np.random.default_rng(7), 3).rho
-        out = propagate(model, rho, 0.0, 2.0)
+        out = evolve(model, "schrodinger", rho, 0.0, 2.0)
         DensityOperator(dim=3, rho=out)  # construction enforces the invariants
 
 
 class TestHeisenbergEvolve:
     def test_identity_preserved(self, atom):
-        np.testing.assert_allclose(heisenberg_evolve(atom, I2, 0.0, 2.5), I2, atol=1e-10)
+        np.testing.assert_allclose(evolve(atom, "heisenberg", I2, 0.0, 2.5), I2, atol=1e-10)
 
     def test_number_decay(self, atom):
-        out = heisenberg_evolve(atom, NUM, 0.0, 1.0)
+        out = evolve(atom, "heisenberg", NUM, 0.0, 1.0)
         np.testing.assert_allclose(out, np.exp(-1.0) * NUM, atol=1e-12)
 
     def test_duality_spot_value(self, atom, excited):
-        lhs = np.trace(excited.rho @ heisenberg_evolve(atom, NUM, 0.0, 1.0))
-        rhs = np.trace(propagate(atom, excited.rho, 0.0, 1.0) @ NUM)
+        lhs = np.trace(excited.rho @ evolve(atom, "heisenberg", NUM, 0.0, 1.0))
+        rhs = np.trace(evolve(atom, "schrodinger", excited.rho, 0.0, 1.0) @ NUM)
         assert abs(lhs - rhs) <= 1e-12
         assert abs(lhs - np.exp(-1.0)) <= 1e-12
 
     def test_rejects_reverse_time(self, atom):
         with pytest.raises(TimeOrderError):
-            heisenberg_evolve(atom, NUM, 1.0, 0.0)
+            evolve(atom, "heisenberg", NUM, 1.0, 0.0)
+
+
+class TestPropagators:
+    def test_short_duration_is_one_mat_exp(self):
+        gen = generator_matrix(random_model(np.random.default_rng(61), 3), "schrodinger").mat
+        for tau, P in propagators(gen, (0.0, 0.7, 0.7, 2.0)).items():
+            assert np.array_equal(P, mat_exp(gen * tau))
+
+    def test_one_entry_per_distinct_duration(self):
+        gen = generator_matrix(random_model(np.random.default_rng(61), 2), "schrodinger").mat
+        assert list(propagators(gen, (0.5, 1.0, 0.5, 1.0, 0.0))) == [0.5, 1.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_duration(self, atom, bad):
+        gen = generator_matrix(atom, "schrodinger").mat
+        with pytest.raises(ValidationError):
+            propagators(gen, (1.0, bad))
+
+    def test_rejects_more_halvings_than_the_limit(self, atom):
+        gen = generator_matrix(atom, "schrodinger").mat
+        longest = EXP_NORM_LIMIT * 2.0**MAX_HALVINGS / np.linalg.norm(gen)
+        propagators(gen, (0.99 * longest,))
+        with pytest.raises(ValidationError):
+            propagators(gen, (1.01 * longest,))
 
 
 class TestSemigroupProperties:
@@ -118,13 +150,6 @@ class TestSemigroupProperties:
             propagator(gen, a + b).mat - propagator(gen, a).mat @ propagator(gen, b).mat
         )
         assert law <= 1e-9
-        # propagation depends only on the duration
-        sigma = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        np.testing.assert_allclose(
-            propagate(model, sigma, 0.25, 0.75),
-            propagate(model, sigma, 1.5, 2.0),
-            atol=1e-12,
-        )
 
     @pytest.mark.parametrize("t", [0.1, 0.5, 1.0, 5.0])
     def test_complete_positivity(self, t):
