@@ -8,7 +8,6 @@ Subcommands: evolve, correlate, oracle, ito, verify, classical.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import replace
 
@@ -17,13 +16,14 @@ import numpy as np
 from . import io
 from .classical import compare_quantum_classical
 from .collision import (
+    ITO_TOL,
     CollisionConfig,
     DEFAULT_BUDGET,
     ito_table_check,
     oracle_kernel_joint_mixed,
     oracle_kernel_sequential,
 )
-from .errors import QRegressError, ValidationError
+from .errors import QRegressError
 from .linalg import unvec, vec
 from .model import atom_model
 from .regression import kernel_heisenberg, kernel_schrodinger
@@ -52,14 +52,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _collision_config(args) -> CollisionConfig:
-    budget = args.budget
-    if budget is None:
-        raw = os.environ.get("QREGRESS_BUDGET", DEFAULT_BUDGET)
-        try:
-            budget = int(raw)
-        except ValueError as exc:
-            raise ValidationError(f"QREGRESS_BUDGET must be an integer, got {raw!r}") from exc
-    return CollisionConfig(dt=args.dt, trunc=args.trunc, budget=budget)
+    return CollisionConfig(dt=args.dt, trunc=args.trunc, budget=args.budget)
 
 
 def cmd_evolve(args) -> int:
@@ -86,35 +79,32 @@ def cmd_evolve(args) -> int:
             raise NumericalViolation(
                 f"trace drifted to {trace:.12g} at t = {t:.6g}"
             )
-        row = [io.format_float(t)]
-        for i in range(d):
-            for j in range(d):
-                row += [io.format_float(sigma[i, j].real), io.format_float(sigma[i, j].imag)]
-        row.append(io.format_float(trace.real))
-        lines.append(",".join(row))
+        # row-major re/im pairs, the header's column order
+        cells = (t, *sigma.reshape(-1).view(np.float64), trace.real)
+        lines.append(",".join(map(io.format_float, cells)))
         v = step @ v
     io.write_output("\n".join(lines) + "\n", args.out)
     return EXIT_OK
 
 
-def _correlate_value(args, model, rho, query) -> complex:
-    if args.mode == "qrt-schrodinger":
+def _correlate_value(mode, model, rho, query, cfg) -> complex:
+    # the kernels are looked up at call time, so replacing a module
+    # attribute (as a tracer does) reaches this dispatch
+    if mode == "qrt-schrodinger":
         return kernel_schrodinger(model, rho, query)
-    if args.mode == "qrt-heisenberg":
+    if mode == "qrt-heisenberg":
         return kernel_heisenberg(model, rho, query)
-    cfg = _collision_config(args)
-    if args.mode == "oracle-seq":
+    if mode == "oracle-seq":
         return oracle_kernel_sequential(model, rho, query, cfg)
-    if args.mode == "oracle-joint":
-        return oracle_kernel_joint_mixed(model, rho, query, cfg)
-    raise UsageError(f"unknown mode {args.mode!r}")
+    return oracle_kernel_joint_mixed(model, rho, query, cfg)
 
 
 def cmd_correlate(args) -> int:
     model = io.load_model(args.model)
     rho = io.load_density(args.rho)
     query = io.load_query(args.query)
-    value = _correlate_value(args, model, rho, query)
+    cfg = _collision_config(args) if args.mode.startswith("oracle") else None
+    value = _correlate_value(args.mode, model, rho, query, cfg)
     result = {
         "value": io.complex_pair(value),
         "mode": args.mode,
@@ -136,12 +126,10 @@ def cmd_oracle(args) -> int:
     base = _collision_config(args)
     runs = []
     for cfg in (base, replace(base, dt=base.dt / 2)):
-        if args.mode == "oracle-joint":
-            value = oracle_kernel_joint_mixed(model, rho, query, cfg)
-        else:
-            value = oracle_kernel_sequential(model, rho, query, cfg)
+        value = _correlate_value(args.mode, model, rho, query, cfg)
         runs.append({"dt": cfg.dt, "value": io.complex_pair(value), "abs_error": abs(value - exact)})
-    ratio = runs[0]["abs_error"] / runs[1]["abs_error"] if runs[1]["abs_error"] else float("inf")
+    # null when the finer run is exact: JSON has no infinity
+    ratio = runs[0]["abs_error"] / runs[1]["abs_error"] if runs[1]["abs_error"] else None
     result = {
         "mode": args.mode,
         "exact": io.complex_pair(exact),
@@ -173,7 +161,7 @@ def cmd_ito(args) -> int:
         "commutator_defect": report.commutator_defect,
     }
     io.write_output(io.json_text(result), args.out)
-    if report.moment_error > 1e-15 or report.commutator_defect > 1e-15:
+    if report.moment_error > ITO_TOL or report.commutator_defect > ITO_TOL:
         raise NumericalViolation(
             f"vacuum moments deviate by {report.moment_error:.3g}"
         )
@@ -224,10 +212,9 @@ def cmd_verify(args) -> int:
     return EXIT_OK
 
 
-def _add_io_flags(p, rho=True, query=False):
+def _add_io_flags(p, query=False):
     p.add_argument("--model", required=True, help="model JSON file")
-    if rho:
-        p.add_argument("--rho", required=True, help="density operator JSON file")
+    p.add_argument("--rho", required=True, help="density operator JSON file")
     if query:
         p.add_argument("--query", required=True, help="correlation query JSON file")
     p.add_argument("--out", default=None, help="output path (default stdout)")
@@ -236,9 +223,8 @@ def _add_io_flags(p, rho=True, query=False):
 def _add_collision_flags(p):
     p.add_argument("--dt", type=float, default=0.01, help="collision step")
     p.add_argument("--trunc", type=int, default=2, help="ancilla truncation")
-    p.add_argument("--budget", type=int, default=None,
-                   help="joint-mode state-vector entry budget "
-                        "(env QREGRESS_BUDGET, default 200000)")
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help="joint-mode state-vector entry budget (default %(default)s)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -286,14 +272,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        # overflow, 0/0 and x/0 raise here instead of writing nan or inf
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except QRegressError as exc:
         print(f"validation error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except NumericalViolation as exc:
+    except (NumericalViolation, FloatingPointError) as exc:
         print(f"numerical property violation: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except OSError as exc:

@@ -45,6 +45,8 @@ from .semigroup import SuperOperator
 
 GRID_ATOL = 1e-12
 DEFAULT_BUDGET = 200_000
+# the vacuum moments and the commutator below truncation are exact up to rounding
+ITO_TOL = 1e-15
 
 
 @dataclass(frozen=True)

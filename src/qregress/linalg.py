@@ -114,12 +114,8 @@ def choi_matrix(superop_mat) -> np.ndarray:
     d = int(round(np.sqrt(s.shape[0])))
     if d * d != s.shape[0]:
         raise DimensionError(f"superoperator side {s.shape[0]} is not a square")
-    choi = np.zeros((d * d, d * d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            unit = matrix_unit(d, i, j)
-            choi += np.kron(unit, unvec(s @ vec(unit), d))
-    return choi
+    # S(E_ij)[k, l] = s[k + l d, i + j d] lands at row i d + k, column j d + l
+    return s.reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def min_hermitian_eig(mat) -> float:

@@ -14,7 +14,8 @@ propagators, evaluated here in two equivalent forms:
   finishing with Tr(b_n s a_n^dag);
 * ``kernel_heisenberg`` pulls the observable inward:
   G <- a_n^dag b_n, then G <- a_k^dag e^{L(t_{k+1}-t_k)}(G) b_k,
-  finishing with Tr(e^{L* t_1}(rho) G).
+  finishing with Tr(rho e^{L t_1}(G)), the dual of Tr(e^{L* t_1}(rho) G),
+  so it never uses the Schrodinger generator.
 
 Both reject unsorted times rather than silently reordering, since the value
 genuinely depends on the ordering.
@@ -108,14 +109,12 @@ def kernel_heisenberg(
     d = model.dim
     t = query.times
     steps = [t2 - t1 for t1, t2 in zip(t, t[1:])]
-    prop_h = propagators(generator_matrix(model, "heisenberg").mat, steps)
-    prop_s = propagators(generator_matrix(model, "schrodinger").mat, [t[0]])
+    prop = propagators(generator_matrix(model, "heisenberg").mat, [t[0], *steps])
     G = dag(query.a_ops[-1]) @ query.b_ops[-1]
     for k in range(query.n - 2, -1, -1):
-        evolved = unvec(prop_h[steps[k]] @ vec(G), d)
+        evolved = unvec(prop[steps[k]] @ vec(G), d)
         G = dag(query.a_ops[k]) @ evolved @ query.b_ops[k]
-    sigma1 = unvec(prop_s[t[0]] @ vec(rho.rho), d)
-    return complex(np.trace(sigma1 @ G))
+    return complex(np.trace(rho.rho @ unvec(prop[t[0]] @ vec(G), d)))
 
 
 def two_time(

@@ -17,6 +17,7 @@ from .classical import (
     diagonal_invariance_check,
 )
 from .collision import (
+    ITO_TOL,
     CollisionConfig,
     ItoReport,
     collision_channel,
@@ -489,8 +490,8 @@ def check_ito() -> list[CheckResult]:
             worst_moment = max(worst_moment, report.moment_error)
             worst_comm = max(worst_comm, report.commutator_defect)
     return [
-        _le("collision.ito_moments", worst_moment, 1e-15),
-        _le("collision.ito_commutator", worst_comm, 1e-15),
+        _le("collision.ito_moments", worst_moment, ITO_TOL),
+        _le("collision.ito_commutator", worst_comm, ITO_TOL),
     ]
 
 

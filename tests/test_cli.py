@@ -19,11 +19,35 @@ MODEL = str(DATA / "atom_model.json")
 RHO = str(DATA / "excited_rho.json")
 QUERY = str(DATA / "dipole_query.json")
 
+ZERO = [[[0, 0], [0, 0]], [[0, 0], [0, 0]]]
+EYE = [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]
+NUMBER = [[[0, 0], [0, 0]], [[0, 0], [1, 0]]]
+TRIVIAL_MODEL = {"dim": 2, "H": ZERO, "L": ZERO}
+NUMBER_QUERY = {"times": [0.5, 1.0], "b_ops": [NUMBER, NUMBER]}
+# finite entries whose products overflow
+HUGE = [[[1e300, 0], [0, 0]], [[0, 0], [1e300, 0]]]
+HUGE_MODEL = {
+    "dim": 2,
+    "H": [[[1e200, 0], [0, 0]], [[0, 0], [0, 0]]],
+    "L": [[[0, 0], [1e200, 0]], [[0, 0], [0, 0]]],
+}
+DIPOLE_DATA = json.loads(Path(QUERY).read_text())
+HUGE_DIPOLE = {
+    **DIPOLE_DATA,
+    "a_ops": [HUGE, DIPOLE_DATA["a_ops"][1]],
+    "b_ops": [HUGE, DIPOLE_DATA["b_ops"][1]],
+}
+
 
 def run(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_json(path, data) -> str:
+    path.write_text(json.dumps(data))
+    return str(path)
 
 
 class TestEvolve:
@@ -45,15 +69,10 @@ class TestEvolve:
         np.testing.assert_allclose(traces, 1.0, atol=1e-10)
 
     def test_trivial_model_constant_rows(self, capsys, tmp_path):
-        model = tmp_path / "trivial.json"
-        model.write_text(json.dumps({
-            "dim": 2,
-            "H": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
-            "L": [[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
-        }))
+        model = write_json(tmp_path / "trivial.json", TRIVIAL_MODEL)
         out = tmp_path / "evolve.csv"
         code, _, _ = run(
-            ["evolve", "--model", str(model), "--rho", RHO, "--t-end", "2.0",
+            ["evolve", "--model", model, "--rho", RHO, "--t-end", "2.0",
              "--steps", "4", "--out", str(out)],
             capsys,
         )
@@ -147,21 +166,13 @@ class TestCorrelate:
         assert code == 1
         assert "grid" in err or "multiple" in err
 
-    def test_budget_env_override(self, capsys, monkeypatch):
-        monkeypatch.setenv("QREGRESS_BUDGET", "10")
-        code, _, err = run(
-            ["correlate", "--model", MODEL, "--rho", RHO, "--query", QUERY,
-             "--mode", "oracle-joint", "--dt", str(1 / 16)],
-            capsys,
-        )
+    def test_budget_flag(self, capsys):
+        argv = ["correlate", "--model", MODEL, "--rho", RHO, "--query", QUERY,
+                "--mode", "oracle-joint", "--dt", str(1 / 16)]
+        code, _, err = run(argv + ["--budget", "10"], capsys)
         assert code == 1
         assert "budget" in err
-        # explicit flag wins over the environment
-        code, out, _ = run(
-            ["correlate", "--model", MODEL, "--rho", RHO, "--query", QUERY,
-             "--mode", "oracle-joint", "--dt", str(1 / 16), "--budget", "200000"],
-            capsys,
-        )
+        code, _, _ = run(argv + ["--budget", "200000"], capsys)
         assert code == 0
 
 
@@ -177,6 +188,19 @@ class TestOracleCommand:
         assert 1.7 <= result["halving_ratio"] <= 2.3
         assert result["runs"][0]["abs_error"] > result["runs"][1]["abs_error"]
 
+    def test_exact_fine_run_gives_null_ratio(self, capsys, tmp_path):
+        model = write_json(tmp_path / "trivial.json", TRIVIAL_MODEL)
+        query = write_json(
+            tmp_path / "identity.json", {"times": [0.5], "a_ops": [EYE], "b_ops": [EYE]}
+        )
+        code, out, _ = run(
+            ["oracle", "--model", model, "--rho", RHO, "--query", query], capsys
+        )
+        assert code == 0
+        result = json.loads(out)
+        assert result["runs"][1]["abs_error"] == 0.0
+        assert result["halving_ratio"] is None
+
 
 class TestIto:
     def test_moments(self, capsys):
@@ -189,11 +213,9 @@ class TestIto:
 
 class TestClassicalCommand:
     def test_number_query(self, capsys, tmp_path):
-        query = tmp_path / "diag_query.json"
-        num = [[[0.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
-        query.write_text(json.dumps({"times": [0.5, 1.0], "b_ops": [num, num]}))
+        query = write_json(tmp_path / "diag_query.json", NUMBER_QUERY)
         code, out, _ = run(
-            ["classical", "--model", MODEL, "--rho", RHO, "--query", str(query)],
+            ["classical", "--model", MODEL, "--rho", RHO, "--query", query],
             capsys,
         )
         assert code == 0
@@ -284,23 +306,15 @@ class TestErrorPaths:
             ("query", {"times": "01"}),
             ("query", {"b_ops": 5}),
             ("query", {"a_ops": 5}),
-            ("env", {"QREGRESS_BUDGET": "abc"}),
         ],
         ids=["dim-word", "matrix-entry-word", "times-word", "times-scalar", "times-string",
-             "b-ops-scalar", "a-ops-scalar", "budget-env-word"],
+             "b-ops-scalar", "a-ops-scalar"],
     )
-    def test_malformed_value_is_one_validation_line(
-        self, capsys, tmp_path, monkeypatch, kind, edit
-    ):
+    def test_malformed_value_is_one_validation_line(self, capsys, tmp_path, kind, edit):
         paths = {"model": MODEL, "query": QUERY}
-        if kind == "env":
-            for name, value in edit.items():
-                monkeypatch.setenv(name, value)
-        else:
-            data = json.loads(Path(paths[kind]).read_text())
-            data.update(edit)
-            paths[kind] = str(tmp_path / f"bad_{kind}.json")
-            Path(paths[kind]).write_text(json.dumps(data))
+        data = json.loads(Path(paths[kind]).read_text())
+        data.update(edit)
+        paths[kind] = write_json(tmp_path / f"bad_{kind}.json", data)
         code, _, err = run(
             ["correlate", "--model", paths["model"], "--rho", RHO, "--query", paths["query"],
              "--mode", "oracle-joint", "--dt", str(1 / 16)],
@@ -309,6 +323,66 @@ class TestErrorPaths:
         assert code == 1
         assert err.startswith("validation error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "argv,model,query",
+        [
+            (["correlate", "--mode", "qrt-schrodinger"], None, HUGE_DIPOLE),
+            (["correlate", "--mode", "qrt-heisenberg"], None, HUGE_DIPOLE),
+            (["correlate", "--mode", "oracle-seq", "--dt", "0.0625"], None, HUGE_DIPOLE),
+            (["classical"], None, {"times": [0.5, 1.0], "b_ops": [HUGE, HUGE]}),
+            (["correlate"], HUGE_MODEL, None),
+            (["classical"], HUGE_MODEL, NUMBER_QUERY),
+            (["evolve", "--t-end", "1.0", "--steps", "2"], HUGE_MODEL, None),
+        ],
+        ids=["qrt-schrodinger-huge-ops", "qrt-heisenberg-huge-ops", "oracle-seq-huge-ops",
+             "classical-huge-ops", "correlate-huge-model", "classical-huge-model",
+             "evolve-huge-model"],
+    )
+    def test_overflow_is_one_numerical_line(self, capsys, tmp_path, argv, model, query):
+        files = ["--model", write_json(tmp_path / "model.json", model) if model else MODEL,
+                 "--rho", RHO]
+        if argv[0] != "evolve":
+            files += ["--query", write_json(tmp_path / "query.json", query) if query else QUERY]
+        code, out, err = run(argv[:1] + files + argv[1:], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("numerical property violation:") and err.count("\n") == 1
+
+
+def run_strict(argv):
+    """Run main with warnings as errors; a warning would print a second stderr line."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def _reject_constant(name):
+    raise ValueError(f"output holds the non-JSON constant {name}")
+
+
+def assert_exit_contract(code, out, err):
+    assert code in (0, 1, 2, 3)
+    assert err.count("\n") <= 1
+    if code == 0:
+        json.loads(out, parse_constant=_reject_constant)
+
+
+def fuzzed_file(tmp_path_factory, base, edit) -> str:
+    data = json.loads(Path(base).read_text())
+    data.update(edit)
+    return write_json(tmp_path_factory.getbasetemp() / f"fuzzed_{Path(base).name}", data)
+
+
+def command_argv(tmp_path_factory, command):
+    """correlate on the dipole query; classical on a diagonal query it accepts."""
+    if command == "correlate":
+        return ["correlate", "--query", QUERY]
+    query = write_json(tmp_path_factory.getbasetemp() / "number_query.json", NUMBER_QUERY)
+    return ["classical", "--query", query]
+
 
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
@@ -316,6 +390,12 @@ JSON_VALUES = st.recursive(
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=8,
 )
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+MATRICES = st.lists(
+    st.lists(st.lists(FINITE, min_size=2, max_size=2), min_size=2, max_size=2),
+    min_size=2, max_size=2,
+)
+COMMANDS = st.sampled_from(["correlate", "classical"])
 
 
 @given(edit=st.fixed_dictionaries(
@@ -323,18 +403,34 @@ JSON_VALUES = st.recursive(
 ))
 @settings(max_examples=60, deadline=1000)
 def test_fuzzed_query_file_keeps_exit_contract(tmp_path_factory, edit):
-    data = json.loads(Path(QUERY).read_text())
-    data.update(edit)
-    query = tmp_path_factory.getbasetemp() / "fuzzed_query.json"
-    query.write_text(json.dumps(data))
-    out, err = io.StringIO(), io.StringIO()
-    # a warning would print a second stderr line, so it fails the test here
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
-            warnings.catch_warnings():
-        warnings.simplefilter("error")
-        code = main(["correlate", "--model", MODEL, "--rho", RHO, "--query", str(query)])
-    assert code in (0, 1, 2, 3)
-    assert err.getvalue().count("\n") <= 1
+    query = fuzzed_file(tmp_path_factory, QUERY, edit)
+    assert_exit_contract(
+        *run_strict(["correlate", "--model", MODEL, "--rho", RHO, "--query", query])
+    )
+
+
+@given(
+    command=COMMANDS,
+    edit=st.fixed_dictionaries(
+        {}, optional={"dim": JSON_VALUES, "H": JSON_VALUES | MATRICES, "L": JSON_VALUES | MATRICES}
+    ),
+)
+@settings(max_examples=40, deadline=1000)
+def test_fuzzed_model_file_keeps_exit_contract(tmp_path_factory, command, edit):
+    model = fuzzed_file(tmp_path_factory, MODEL, edit)
+    argv = command_argv(tmp_path_factory, command) + ["--model", model, "--rho", RHO]
+    assert_exit_contract(*run_strict(argv))
+
+
+@given(
+    command=COMMANDS,
+    edit=st.fixed_dictionaries({}, optional={"dim": JSON_VALUES, "rho": JSON_VALUES | MATRICES}),
+)
+@settings(max_examples=40, deadline=1000)
+def test_fuzzed_state_file_keeps_exit_contract(tmp_path_factory, command, edit):
+    rho = fuzzed_file(tmp_path_factory, RHO, edit)
+    argv = command_argv(tmp_path_factory, command) + ["--model", MODEL, "--rho", rho]
+    assert_exit_contract(*run_strict(argv))
 
 
 def test_console_script_runs():

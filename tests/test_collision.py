@@ -8,7 +8,6 @@ from qregress import (
     SystemModel,
     ValidationError,
     collision_channel,
-    generator_matrix,
     ito_table_check,
     kernel_schrodinger,
     mat_exp,
@@ -18,7 +17,9 @@ from qregress import (
     slot_annihilator,
     step_unitary,
     vacuum_conditional_expectation,
+    verify,
 )
+from qregress.collision import ITO_TOL
 from qregress.regression import CorrelationQuery
 from qregress.verify import EXCITED_KET, EYE2 as I2, NUMBER as NUM, SIGMA_MINUS as SM
 
@@ -64,9 +65,9 @@ class TestStepUnitary:
         U = step_unitary(model, CollisionConfig(dt=0.05, trunc=3))
         np.testing.assert_allclose(U, np.kron(mat_exp(-1j * H * 0.05), np.eye(3)), atol=1e-13)
 
-    def test_unitarity(self, atom):
-        U = step_unitary(atom, CollisionConfig(dt=0.01, trunc=2))
-        assert np.linalg.norm(U.conj().T @ U - np.eye(4)) <= 1e-10
+    def test_unitarity(self):
+        (unitarity,) = verify.check_step_unitarity(0)
+        assert unitarity.passed, unitarity
 
 
 class TestCollisionChannel:
@@ -90,15 +91,9 @@ class TestCollisionChannel:
         assert abs(np.trace(E.apply(sigma)) - np.trace(sigma)) <= 1e-10
         assert min_hermitian_eig(choi_matrix(E.mat)) >= -1e-10
 
-    def test_second_order_agreement_with_semigroup(self, atom):
-        gen = generator_matrix(atom, "schrodinger").mat
-
-        def defect(dt):
-            E = collision_channel(atom, CollisionConfig(dt=dt)).mat
-            return np.linalg.norm(E - mat_exp(gen * dt))
-
-        ratio = defect(0.02) / defect(0.01)
-        assert 3.2 <= ratio <= 4.8
+    def test_second_order_agreement_with_semigroup(self):
+        atom_order, _ = verify.check_channel_order(0)
+        assert atom_order.passed, atom_order
 
 
 class TestSequentialOracle:
@@ -111,13 +106,10 @@ class TestSequentialOracle:
         w = oracle_kernel_sequential(atom, excited, DIPOLE, CollisionConfig(dt=1 / 512))
         assert abs(w - np.exp(-0.75)) <= 5e-3
 
-    def test_halving_halves_the_error(self, atom, excited):
-        exact = np.exp(-0.75)
-        errs = [
-            abs(oracle_kernel_sequential(atom, excited, DIPOLE, CollisionConfig(dt=dt)) - exact)
-            for dt in (1 / 256, 1 / 512)
-        ]
-        assert 1.7 <= errs[0] / errs[1] <= 2.3
+    def test_halving_halves_the_error(self):
+        ratios = {r.name: r for r in verify.check_oracle_convergence()}
+        ratio = ratios["collision.sequential_halving_ratio_n2"]
+        assert ratio.passed, ratio
 
     def test_rejects_off_grid_times(self, atom, excited):
         q = CorrelationQuery(times=(0.3,), a_ops=(I2,), b_ops=(NUM,))
@@ -131,12 +123,9 @@ class TestJointOracle:
         w = oracle_kernel_joint(atom, EXCITED_KET, q, CollisionConfig(dt=1 / 16))
         assert abs(w - 1.0) <= 1e-12
 
-    def test_agrees_with_sequential_same_grid(self, atom, excited):
-        # identical discretization, two evaluation strategies
-        cfg = CollisionConfig(dt=1 / 16)
-        seq = oracle_kernel_sequential(atom, excited, DIPOLE, cfg)
-        joint = oracle_kernel_joint(atom, EXCITED_KET, DIPOLE, cfg)
-        assert abs(seq - joint) <= 1e-10
+    def test_agrees_with_sequential_same_grid(self):
+        (agreement,) = verify.check_joint_matches_sequential()
+        assert agreement.passed, agreement
 
     def test_norm_preserved_by_collisions(self, atom):
         # identity insertions keep the swept state normalized
@@ -260,10 +249,7 @@ class TestItoTable:
     @pytest.mark.parametrize("dt,trunc", [(0.01, 2), (0.5, 3), (0.5, 2), (0.01, 3)])
     def test_vacuum_moments(self, dt, trunc):
         report = ito_table_check(CollisionConfig(dt=dt, trunc=trunc))
-        assert abs(report.bb_dag - dt) <= 1e-15
-        assert abs(report.bdag_b) <= 1e-15
-        assert abs(report.bb) <= 1e-15
-        assert abs(report.bdag_bdag) <= 1e-15
+        assert report.moment_error <= ITO_TOL
 
     def test_single_slot_commutator(self):
         report = ito_table_check(CollisionConfig(dt=0.25, trunc=3), f_vals=(1.0,))
