@@ -27,6 +27,7 @@ Both converge to the exact kernels at first order in dt.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -67,13 +68,17 @@ class CollisionConfig:
             raise ValidationError(f"dt must be positive and finite, got {self.dt}")
         if self.trunc < 2:
             raise ValidationError(f"truncation must be >= 2, got {self.trunc}")
-        if self.budget < 1:
-            raise ValidationError(f"budget must be positive, got {self.budget}")
+        # an integer, so the joint oracle's entry count is compared exactly
+        if not isinstance(self.budget, numbers.Integral) or self.budget < 1:
+            raise ValidationError(f"budget must be a positive integer, got {self.budget}")
 
 
 def grid_index(t: float, dt: float) -> int:
     """Slot index of a query time; rejects times off the dt grid."""
-    k = int(round(t / dt))
+    slots = t / dt
+    if not math.isfinite(slots):  # a subnormal dt
+        raise ValidationError(f"time {t} spans too many steps of dt = {dt} to count")
+    k = int(round(slots))
     if abs(k * dt - t) > GRID_ATOL:
         raise GridAlignmentError(f"time {t} is not a multiple of dt = {dt}")
     return k
@@ -170,11 +175,14 @@ def oracle_kernel_joint(
     if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
         raise ValidationError(f"initial state norm {np.linalg.norm(psi):.12g} is not 1")
     indices = [grid_index(t, cfg.dt) for t in query.times]
-    d, m = model.dim, cfg.trunc
-    entries = d * m ** indices[-1]
-    if entries > cfg.budget:
+    d, m, slots = model.dim, cfg.trunc, indices[-1]
+    # m >= 2, so m**slots alone exceeds the budget from its bit length on; the
+    # power is not formed there, as for a tiny dt it would never finish
+    too_many = slots >= int(cfg.budget).bit_length()
+    entries = f"{d} * {m}**{slots}" if too_many else d * m**slots
+    if too_many or entries > cfg.budget:
         raise BudgetExceededError(
-            f"joint state needs {entries} entries for {indices[-1]} slots, "
+            f"joint state needs {entries} entries for {slots} slots, "
             f"budget is {cfg.budget}"
         )
     U4 = step_unitary(model, cfg).reshape(d, m, d, m)

@@ -7,7 +7,7 @@ entry at (0, 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -25,12 +25,15 @@ class SystemModel:
 
     ``H`` is the Hamiltonian (Hermitian), ``L`` the coupling operator through
     which the system radiates into the field; ``L`` is unconstrained beyond
-    finiteness.
+    finiteness.  Both are stored as read-only copies, so the propagators
+    that :func:`qregress.semigroup.compiled_propagator` keeps per picture in
+    ``_propagators`` stay valid for the model's lifetime.
     """
 
     dim: int
     H: np.ndarray
     L: np.ndarray
+    _propagators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.dim < 2:
@@ -46,8 +49,10 @@ class SystemModel:
             raise ValidationError(
                 f"H is not Hermitian: ||H - H^dag|| = {defect:.3g} exceeds tolerance"
             )
-        object.__setattr__(self, "H", H)
-        object.__setattr__(self, "L", L)
+        for name, mat in (("H", H), ("L", L)):
+            mat = mat.copy()
+            mat.flags.writeable = False
+            object.__setattr__(self, name, mat)
 
 
 @dataclass(frozen=True)

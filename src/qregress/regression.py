@@ -31,7 +31,7 @@ import numpy as np
 from .errors import DimensionError, TimeOrderError, ValidationError
 from .linalg import as_complex_matrix, dag, unvec, vec
 from .model import DensityOperator, SystemModel
-from .semigroup import generator_matrix, propagators
+from .semigroup import compiled_propagator
 
 
 @dataclass(frozen=True)
@@ -93,11 +93,11 @@ def kernel_schrodinger(
     d = model.dim
     t = query.times
     steps = [t2 - t1 for t1, t2 in zip(t, t[1:])]
-    prop = propagators(generator_matrix(model, "schrodinger").mat, [t[0], *steps])
-    sigma = unvec(prop[t[0]] @ vec(rho.rho), d)
+    prop = compiled_propagator(model, "schrodinger").steps([t[0], *steps])
+    sigma = unvec(prop[t[0]](vec(rho.rho)), d)
     for k, tau in enumerate(steps):
         sandwiched = query.b_ops[k] @ sigma @ dag(query.a_ops[k])
-        sigma = unvec(prop[tau] @ vec(sandwiched), d)
+        sigma = unvec(prop[tau](vec(sandwiched)), d)
     return complex(np.trace(query.b_ops[-1] @ sigma @ dag(query.a_ops[-1])))
 
 
@@ -109,12 +109,12 @@ def kernel_heisenberg(
     d = model.dim
     t = query.times
     steps = [t2 - t1 for t1, t2 in zip(t, t[1:])]
-    prop = propagators(generator_matrix(model, "heisenberg").mat, [t[0], *steps])
+    prop = compiled_propagator(model, "heisenberg").steps([t[0], *steps])
     G = dag(query.a_ops[-1]) @ query.b_ops[-1]
     for k in range(query.n - 2, -1, -1):
-        evolved = unvec(prop[steps[k]] @ vec(G), d)
+        evolved = unvec(prop[steps[k]](vec(G)), d)
         G = dag(query.a_ops[k]) @ evolved @ query.b_ops[k]
-    return complex(np.trace(rho.rho @ unvec(prop[t[0]] @ vec(G), d)))
+    return complex(np.trace(rho.rho @ unvec(prop[t[0]](vec(G)), d)))
 
 
 def two_time(

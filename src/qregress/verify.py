@@ -28,6 +28,7 @@ from .collision import (
     vacuum_conditional_expectation,
 )
 from .linalg import (
+    EXP_NORM_LIMIT,
     choi_matrix,
     dag,
     kron,
@@ -49,7 +50,7 @@ from .regression import (
     kernel_heisenberg,
     kernel_schrodinger,
 )
-from .semigroup import generator_matrix, propagators
+from .semigroup import compiled_propagator, generator_matrix, propagators
 
 EYE2 = np.eye(2, dtype=np.complex128)
 SIGMA_MINUS = np.array([[0, 1], [0, 0]], dtype=np.complex128)
@@ -199,11 +200,14 @@ def check_semigroup(seed: int, extra_models: list[SystemModel] = ()) -> list[Che
     worst_law = 0.0
     worst_unital = 0.0
     worst_dual = 0.0
+    worst_routes = 0.0
     for model in models:
         d = model.dim
-        gen_s = generator_matrix(model, "schrodinger").mat
-        gen_h = generator_matrix(model, "heisenberg").mat
-        for P in propagators(gen_s, (0.1, 0.5, 1.0, 5.0)).values():
+        compiled = {p: compiled_propagator(model, p) for p in ("schrodinger", "heisenberg")}
+        gen_s = compiled["schrodinger"].generator
+        gen_h = compiled["heisenberg"].generator
+        P_cptp = propagators(gen_s, (0.1, 0.5, 1.0, 5.0))
+        for P in P_cptp.values():
             worst_choi = min(worst_choi, min_hermitian_eig(choi_matrix(P)))
             sigma = random_density(rng, d).rho
             evolved = unvec(P @ vec(sigma), d)
@@ -211,21 +215,31 @@ def check_semigroup(seed: int, extra_models: list[SystemModel] = ()) -> list[Che
         a, b = rng.uniform(0.0, 2.0, size=2)
         t = rng.uniform(0.1, 2.0)
         P_s = propagators(gen_s, (a + b, a, b, t))
-        P_h = propagators(gen_h, (t,))[t]
+        P_h = propagators(gen_h, (t,))
         worst_law = max(worst_law, np.linalg.norm(P_s[a + b] - P_s[a] @ P_s[b]))
         eye = np.eye(d, dtype=np.complex128)
-        worst_unital = max(worst_unital, np.abs(unvec(P_h @ vec(eye), d) - eye).max())
+        worst_unital = max(worst_unital, np.abs(unvec(P_h[t] @ vec(eye), d) - eye).max())
         X = random_operator(rng, d)
         Y = random_operator(rng, d)
-        lhs = np.trace(Y @ unvec(P_h @ vec(X), d))
+        lhs = np.trace(Y @ unvec(P_h[t] @ vec(X), d))
         rhs = np.trace(unvec(P_s[t] @ vec(Y), d) @ X)
         worst_dual = max(worst_dual, abs(lhs - rhs))
+        for picture, squared in (("schrodinger", {**P_cptp, **P_s}), ("heisenberg", P_h)):
+            routes = compiled[picture]
+            # plus one duration that scaling and squaring halves 3 times
+            long = 4 * EXP_NORM_LIMIT / np.linalg.norm(routes.generator)
+            squared = {**squared, **propagators(routes.generator, (long,))}
+            steps = routes.steps(squared)
+            for tau, P in squared.items():
+                # the identity's columns are the vectorized matrix units vec(E_ij)
+                worst_routes = max(worst_routes, np.abs(steps[tau](np.eye(d * d)) - P).max())
     return [
         _ge("semigroup.choi_min_eig", worst_choi, -1e-9),
         _le("semigroup.trace_preservation", worst_tp, 1e-10),
         _le("semigroup.law", worst_law, 1e-9),
         _le("semigroup.identity_preservation", worst_unital, 1e-10),
         _le("semigroup.duality", worst_dual, 1e-10),
+        _le("semigroup.spectral_vs_squaring", worst_routes, 1e-12),
     ]
 
 

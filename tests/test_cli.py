@@ -1,7 +1,9 @@
 import contextlib
 import io
 import json
+import math
 import os
+import resource
 import subprocess
 import sys
 import warnings
@@ -363,11 +365,22 @@ def _reject_constant(name):
     raise ValueError(f"output holds the non-JSON constant {name}")
 
 
-def assert_exit_contract(code, out, err):
+def strict_json(out):
+    json.loads(out, parse_constant=_reject_constant)
+
+
+def finite_csv(out):
+    header, *rows = out.splitlines()
+    for row in rows:
+        cells = [float(cell) for cell in row.split(",")]
+        assert len(cells) == len(header.split(",")) and all(map(math.isfinite, cells))
+
+
+def assert_exit_contract(code, out, err, parse_output=strict_json):
     assert code in (0, 1, 2, 3)
     assert err.count("\n") <= 1
     if code == 0:
-        json.loads(out, parse_constant=_reject_constant)
+        parse_output(out)
 
 
 def fuzzed_file(tmp_path_factory, base, edit) -> str:
@@ -431,6 +444,58 @@ def test_fuzzed_state_file_keeps_exit_contract(tmp_path_factory, command, edit):
     rho = fuzzed_file(tmp_path_factory, RHO, edit)
     argv = command_argv(tmp_path_factory, command) + ["--model", MODEL, "--rho", rho]
     assert_exit_contract(*run_strict(argv))
+
+
+LOG_DT = st.floats(-300.0, math.log10(4.0)).map(lambda e: 10.0**e)
+GRID_DT = st.sampled_from([2.0**-k for k in range(9)])
+NOT_NUMBERS = st.sampled_from(["", "x", "1/16", "0x10", "--"])
+FLAG_DT = (LOG_DT | GRID_DT).map(repr) | st.sampled_from(["0", "-0.0625", "-1e-300", "1e-310"]) | NOT_NUMBERS
+FLAG_TRUNC = st.integers(-1, 6).map(str) | NOT_NUMBERS
+FLAG_BUDGET = st.integers(-1, 10**6).map(str) | st.sampled_from(["1e6"]) | NOT_NUMBERS
+FLAG_T_END = (st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e))
+              | st.sampled_from(["0", "-1", "inf", "nan"]) | NOT_NUMBERS)
+FLAG_STEPS = st.integers(-1, 2000).map(str) | st.sampled_from(["1.5"]) | NOT_NUMBERS
+FILES = ["--model", MODEL, "--rho", RHO]
+ORACLE_ARGV = st.tuples(
+    st.sampled_from([["correlate", "--query", QUERY, "--mode", "oracle-seq"],
+                     ["correlate", "--query", QUERY, "--mode", "oracle-joint"],
+                     ["oracle", "--query", QUERY, "--mode", "oracle-seq"],
+                     ["oracle", "--query", QUERY, "--mode", "oracle-joint"]]),
+    FLAG_DT, FLAG_TRUNC, FLAG_BUDGET,
+).map(lambda a: a[0] + FILES + ["--dt", a[1], "--trunc", a[2], "--budget", a[3]])
+EVOLVE_ARGV = st.tuples(FLAG_T_END, FLAG_STEPS).map(
+    lambda a: ["evolve", *FILES, "--t-end", a[0], "--steps", a[1]])
+ITO_ARGV = st.tuples(FLAG_DT, FLAG_TRUNC).map(lambda a: ["ito", "--dt", a[0], "--trunc", a[1]])
+
+
+# the budget keeps every joint state at most 10**6 entries; --steps stays at
+# most 2000 rows of a 2x2 state
+@given(argv=ORACLE_ARGV | EVOLVE_ARGV | ITO_ARGV)
+@settings(max_examples=60, deadline=None)
+def test_fuzzed_flags_keep_exit_contract(argv):
+    assert_exit_contract(*run_strict(argv), finite_csv if argv[0] == "evolve" else strict_json)
+
+
+def _cap_address_space():
+    # a child that tried to form a huge integer would fail here instead of
+    # taking the host's memory
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+@pytest.mark.parametrize("command", ["correlate", "oracle"])
+def test_tiny_dt_joint_oracle_is_one_budget_line(command):
+    proc = subprocess.run(
+        [sys.executable, "-m", "qregress.cli", command, *FILES, "--query", QUERY,
+         "--mode", "oracle-joint", "--dt", "1e-300"],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_cap_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("validation error: joint state needs")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_console_script_runs():

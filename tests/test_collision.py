@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,12 @@ class TestCollisionConfig:
     def test_rejects_infinite_dt(self):
         with pytest.raises(ValidationError):
             CollisionConfig(dt=np.inf)
+
+    @pytest.mark.parametrize("budget", [0, 1.5, 1e6, np.nan])
+    def test_budget_is_a_positive_integer(self, budget):
+        with pytest.raises(ValidationError):
+            CollisionConfig(dt=0.1, budget=budget)
+        CollisionConfig(dt=0.1, budget=np.int64(7))
 
 
 class TestSlotAnnihilator:
@@ -149,6 +157,25 @@ class TestJointOracle:
         # 64 slots at trunc 2 need 2 * 2^64 entries, far beyond any budget
         with pytest.raises(BudgetExceededError):
             oracle_kernel_joint(atom, EXCITED_KET, DIPOLE, CollisionConfig(dt=1 / 64))
+
+    @pytest.mark.parametrize("budget,message", [
+        (2**15, "needs 2 * 2**16 entries"),  # 16 slots reach the budget's bit length
+        (2**17 - 1, "needs 131072 entries"),
+        (2**17, None),
+    ])
+    def test_budget_gate_is_exact(self, atom, budget, message):
+        q = CorrelationQuery(times=(1.0,), a_ops=(I2,), b_ops=(NUM,))
+        cfg = CollisionConfig(dt=1 / 16, budget=budget)
+        if message is None:
+            assert abs(oracle_kernel_joint(atom, EXCITED_KET, q, cfg)) <= 1.0
+        else:
+            with pytest.raises(BudgetExceededError, match=re.escape(message)):
+                oracle_kernel_joint(atom, EXCITED_KET, q, cfg)
+
+    def test_subnormal_dt_is_a_validation_error(self, atom):
+        q = CorrelationQuery(times=(0.5,), a_ops=(I2,), b_ops=(NUM,))
+        with pytest.raises(ValidationError, match="too many steps"):
+            oracle_kernel_joint(atom, EXCITED_KET, q, CollisionConfig(dt=1e-310))
 
     def test_rejects_off_grid_times(self, atom):
         q = CorrelationQuery(times=(0.3,), a_ops=(I2,), b_ops=(NUM,))

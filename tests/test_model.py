@@ -43,6 +43,18 @@ class TestValidation:
         with pytest.raises(ValidationError):
             SystemModel(dim=1, H=np.zeros((1, 1)), L=np.zeros((1, 1)))
 
+    def test_h_and_l_are_read_only_copies(self):
+        H = np.zeros((2, 2), dtype=np.complex128)
+        model = SystemModel(dim=2, H=H, L=SM)
+        H[0, 0] = 1.0
+        assert model.H[0, 0] == 0.0
+        for mat in (model.H, model.L):
+            with pytest.raises(ValueError):
+                mat[0, 0] = 2.0
+
+    def test_propagator_cache_stays_out_of_repr(self):
+        assert "_propagators" not in repr(atom_model(1.0))
+
     def test_density_checks(self):
         with pytest.raises(ValidationError):
             DensityOperator(dim=2, rho=np.diag([0.6, 0.6]))

@@ -4,6 +4,7 @@ import scipy.linalg
 
 from qregress import (
     CorrelationQuery,
+    SystemModel,
     DimensionError,
     TimeOrderError,
     ValidationError,
@@ -13,7 +14,8 @@ from qregress import (
     kernel_schrodinger,
     two_time,
 )
-from qregress.linalg import matrix_unit, min_hermitian_eig, unvec
+from qregress.linalg import dag, matrix_unit, min_hermitian_eig, unvec, vec
+from qregress.semigroup import SPECTRAL_COND_LIMIT, compiled_propagator, propagators
 from qregress.verify import (
     EYE2 as I2,
     NUMBER as NUM,
@@ -23,6 +25,7 @@ from qregress.verify import (
     random_density,
     random_model,
     random_operator,
+    random_query,
 )
 
 
@@ -167,6 +170,79 @@ class TestLongDurations:
                 assert abs(ws - stationary[j, i]) <= 1e-10
                 assert abs(wh - stationary[j, i]) <= 1e-10
                 assert abs(ws - wh) <= 1e-12
+
+
+def squaring_kernel(model, rho, query):
+    """Schrodinger recursion on propagators' scaling-and-squaring matrices."""
+    t, d = query.times, model.dim
+    steps = [b - a for a, b in zip(t, t[1:])]
+    P = propagators(generator_matrix(model, "schrodinger").mat, [t[0], *steps])
+    sigma = unvec(P[t[0]] @ vec(rho.rho), d)
+    for k, tau in enumerate(steps):
+        sigma = unvec(P[tau] @ vec(query.b_ops[k] @ sigma @ dag(query.a_ops[k])), d)
+    return complex(np.trace(query.b_ops[-1] @ sigma @ dag(query.a_ops[-1])))
+
+
+class TestExponentiationRoutes:
+    """The driven qubit H = (Omega/2) sigma_x, L = sigma_- is defective at Omega = 1/4."""
+
+    @staticmethod
+    def driven_qubit(omega):
+        return SystemModel(dim=2, H=0.5 * omega * np.array([[0, 1], [1, 0]]), L=SM)
+
+    @pytest.mark.parametrize("omega,spectral", [(0.25, False), (0.25 + 1e-6, True)])
+    def test_route_and_agreement(self, omega, spectral):
+        model = self.driven_qubit(omega)
+        for picture in ("schrodinger", "heisenberg"):
+            compiled = compiled_propagator(model, picture)
+            assert compiled.spectral is spectral
+            assert (compiled.cond <= SPECTRAL_COND_LIMIT) is spectral
+        rng = np.random.default_rng(91)
+        rho = random_density(rng, 2)
+        # the last duration needs halvings on the squaring route
+        q = CorrelationQuery(
+            times=(0.3, 2.0, 2.0, 9.0, 70.0),
+            a_ops=tuple(random_operator(rng, 2) for _ in range(5)),
+            b_ops=tuple(random_operator(rng, 2) for _ in range(5)),
+        )
+        reference = squaring_kernel(model, rho, q)
+        ws = kernel_schrodinger(model, rho, q)
+        wh = kernel_heisenberg(model, rho, q)
+        assert abs(ws - reference) <= 1e-12
+        assert abs(wh - reference) <= 1e-12
+        assert abs(ws - wh) <= 1e-12
+
+    def test_second_call_reuses_the_decomposition(self, monkeypatch):
+        import qregress.semigroup as semigroup
+
+        model = random_model(np.random.default_rng(93), 3)
+        rho = random_density(np.random.default_rng(94), 3)
+        q = random_query(np.random.default_rng(95), 3, 4)
+        first = (kernel_schrodinger(model, rho, q), kernel_heisenberg(model, rho, q))
+        calls = []
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for module, name in ((semigroup, "generator_matrix"), (semigroup, "propagators"),
+                             (semigroup, "mat_exp"), (np.linalg, "eig")):
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        again = (kernel_schrodinger(model, rho, q), kernel_heisenberg(model, rho, q))
+        assert calls == []
+        assert again == first
+
+    def test_pictures_hold_distinct_decompositions(self):
+        model = random_model(np.random.default_rng(97), 3)
+        s = compiled_propagator(model, "schrodinger")
+        h = compiled_propagator(model, "heisenberg")
+        assert s is not h and s.spectral and h.spectral
+        assert compiled_propagator(model, "schrodinger") is s
+        for mine, other in zip(s._eig, h._eig):
+            assert not np.shares_memory(mine, other)
+        assert not np.allclose(s._eig[1], h._eig[1])
 
 
 class TestKernelStructure:
