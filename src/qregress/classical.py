@@ -9,12 +9,11 @@ correlations computed by a brute-force path sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import DimensionError, TimeOrderError, ValidationError
+from .errors import BudgetExceededError, DimensionError, TimeOrderError, ValidationError
 from .linalg import matrix_unit
 from .model import DensityOperator, SystemModel, lindblad_schrodinger
 from .regression import CorrelationQuery, kernel_schrodinger
@@ -22,6 +21,8 @@ from .semigroup import propagators
 
 CHAIN_TOL = 1e-12
 DIAGONAL_TOL = 1e-12
+# the path sum holds every path weight at once: 2**22 float64 weights are 32 MB
+PATH_BUDGET = 2**22
 
 
 @dataclass(frozen=True)
@@ -70,22 +71,25 @@ def classical_correlation(
         raise ValidationError("need at least one time")
     if times[0] < 0 or any(t2 < t1 for t1, t2 in zip(times, times[1:])):
         raise TimeOrderError(f"times must be nondecreasing and >= 0, got {times}")
-    r = chain.states
+    r, n = chain.states, len(times)
+    # r >= 2 makes r**n exceed the budget from its bit length on; the power
+    # is not formed there, as for a long query it would be huge
+    too_many = r > 1 and n >= PATH_BUDGET.bit_length()
+    paths = f"{r}**{n}" if too_many else r**n
+    if too_many or paths > PATH_BUDGET:
+        raise BudgetExceededError(
+            f"path sum needs {paths} paths for {n} times, budget is {PATH_BUDGET}"
+        )
     fs = [np.asarray(f, dtype=np.float64).reshape(-1) for f in f_list]
     for f in fs:
         if f.size != r:
             raise DimensionError(f"observable has {f.size} entries, expected {r}")
-    p1 = chain.p0 @ chain.transition_matrix(times[0])
-    steps = [
-        chain.transition_matrix(t2 - t1) for t1, t2 in zip(times, times[1:])
-    ]
-    total = 0.0
-    for path in product(range(r), repeat=len(times)):
-        weight = p1[path[0]] * fs[0][path[0]]
-        for k, P in enumerate(steps):
-            weight *= P[path[k], path[k + 1]] * fs[k + 1][path[k + 1]]
-        total += weight
-    return total
+    # W[(i_1 ... i_k), i_k] is the weight of one path up to t_k; each time
+    # extends every path by every next state, so all r**n weights are formed
+    W = (chain.p0 @ chain.transition_matrix(times[0]) * fs[0])[None, :]
+    for t1, t2, f in zip(times, times[1:], fs[1:]):
+        W = (W[:, :, None] * (chain.transition_matrix(t2 - t1) * f)).reshape(-1, r)
+    return float(W.sum())
 
 
 def diagonal_invariance_check(
@@ -149,6 +153,7 @@ def compare_quantum_classical(
             raise ValidationError(f"b_ops[{k}] is not Hermitian")
         f_list.append(np.diag(b).real)
     chain = ClassicalChain(states=d, Q=Q_col.T, p0=np.diag(rho.rho).real)
-    quantum = kernel_schrodinger(model, rho, query)
+    # the path sum first: its size gate rejects before any kernel work
     classical = classical_correlation(chain, query.times, f_list)
+    quantum = kernel_schrodinger(model, rho, query)
     return ComparisonResult(quantum, classical, abs(quantum - classical), Q_col)

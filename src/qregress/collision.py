@@ -12,14 +12,18 @@ to system (x) slot; the exponential is exactly unitary and generates the
 -(1/2) L^dag L dt drift automatically at second order in sqrt(dt).
 
 Joint-space index order is system (x) slot_1 (x) ... (x) slot_N, with later
-slots minor.  Kernels are evaluated here by two strategies that never touch
-the semigroup machinery:
+slots minor; ``vacuum_conditional_expectation`` works in that order.  Kernels
+are evaluated here by two strategies that never touch the semigroup
+machinery:
 
 * ``oracle_kernel_sequential`` composes the one-collision reduced channel on
   density matrices, inserting b_k . a_k^dag at the query times;
 * ``oracle_kernel_joint`` applies the two operator strings to a pair of pure
   joint states and takes their inner product, growing the state vector one
   vacuum slot at a time.  Its memory is d * m^N entries, gated by a budget.
+  It keeps the newest slot next to the system (system (x) slot_N (x) ... (x)
+  slot_1), so a collision is one matrix product with no transpose; the
+  inner product does not depend on the order of the slots.
 
 Both converge to the exact kernels at first order in dt.
 """
@@ -48,6 +52,7 @@ GRID_ATOL = 1e-12
 DEFAULT_BUDGET = 200_000
 # the vacuum moments and the commutator below truncation are exact up to rounding
 ITO_TOL = 1e-15
+UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -129,6 +134,13 @@ def oracle_kernel_sequential(
     """Kernel from repeated collision channels on a generalized state."""
     _check_dims(model, rho, query)
     indices = [grid_index(t, cfg.dt) for t in query.times]
+    # N channel powers carry about N * u rounding error (u = 2**-53), which
+    # passes the O(dt) discretization error once N * u > dt
+    if indices[-1] * UNIT_ROUNDOFF > cfg.dt:
+        raise ValidationError(
+            f"dt = {cfg.dt} is below the rounding floor of {indices[-1]} channel "
+            f"steps: N * 2**-53 = {indices[-1] * UNIT_ROUNDOFF:.3g} exceeds dt"
+        )
     channel = collision_channel(model, cfg).mat
     d = model.dim
     v = vec(rho.rho)
@@ -142,16 +154,6 @@ def oracle_kernel_sequential(
             v = vec(sigma)
     sigma = unvec(v, d)
     return complex(np.trace(query.b_ops[-1] @ sigma @ dag(query.a_ops[-1])))
-
-
-def _collide(state: np.ndarray, U4: np.ndarray, d: int, m: int) -> np.ndarray:
-    """Append a vacuum slot as the minor index and apply the step unitary."""
-    grown = state.reshape(d, -1, 1) * np.eye(m, dtype=np.complex128)[0]
-    return np.einsum("iajb,jkb->ika", U4, grown).reshape(-1)
-
-
-def _apply_system(op: np.ndarray, state: np.ndarray, d: int) -> np.ndarray:
-    return (op @ state.reshape(d, -1)).reshape(-1)
 
 
 def oracle_kernel_joint(
@@ -185,18 +187,16 @@ def oracle_kernel_joint(
             f"joint state needs {entries} entries for {slots} slots, "
             f"budget is {cfg.budget}"
         )
-    U4 = step_unitary(model, cfg).reshape(d, m, d, m)
-    phi_a = psi.copy()
-    phi_b = psi.copy()
+    # every slot enters in the vacuum, so only U's input column |0> acts
+    U0 = step_unitary(model, cfg).reshape(d, m, d, m)[:, :, :, 0].reshape(d * m, d)
+    phis = np.stack([psi, psi]).reshape(2, d, 1)  # the a- and b-strings
     done = 0
     for k, idx in enumerate(indices):
-        while done < idx:
-            phi_a = _collide(phi_a, U4, d, m)
-            phi_b = _collide(phi_b, U4, d, m)
-            done += 1
-        phi_a = _apply_system(query.a_ops[k], phi_a, d)
-        phi_b = _apply_system(query.b_ops[k], phi_b, d)
-    return complex(np.vdot(phi_a, phi_b))
+        for _ in range(idx - done):
+            phis = (U0 @ phis).reshape(2, d, -1)
+        done = idx
+        phis = np.stack([query.a_ops[k], query.b_ops[k]]) @ phis
+    return complex(np.vdot(phis[0], phis[1]))
 
 
 def oracle_kernel_joint_mixed(

@@ -22,4 +22,8 @@ class GridAlignmentError(QRegressError):
 
 
 class BudgetExceededError(QRegressError):
-    """The joint-mode state vector would exceed the configured entry budget."""
+    """A brute-force route would exceed its size budget.
+
+    The joint collision oracle's state vector is capped by the configured
+    entry budget, the classical path sum by a fixed path count.
+    """

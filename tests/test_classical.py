@@ -1,7 +1,11 @@
+import re
+from itertools import product
+
 import numpy as np
 import pytest
 
 from qregress import (
+    BudgetExceededError,
     ClassicalChain,
     CorrelationQuery,
     DensityOperator,
@@ -12,10 +16,31 @@ from qregress import (
     compare_quantum_classical,
     diagonal_invariance_check,
 )
+from qregress.classical import PATH_BUDGET
 from qregress.verify import EYE2 as I2, NUMBER as NUM, SIGMA_MINUS as SM
 
 # two states, ordering (g, e); decay e -> g at unit rate
 DECAY_Q = np.array([[0.0, 0.0], [1.0, -1.0]])
+
+
+def loop_path_sum(chain, times, f_list):
+    """Reference: one Python product per path, summed path by path."""
+    p1 = chain.p0 @ chain.transition_matrix(times[0])
+    steps = [chain.transition_matrix(t2 - t1) for t1, t2 in zip(times, times[1:])]
+    total = 0.0
+    for path in product(range(chain.states), repeat=len(times)):
+        weight = p1[path[0]] * f_list[0][path[0]]
+        for k, P in enumerate(steps):
+            weight *= P[path[k], path[k + 1]] * f_list[k + 1][path[k + 1]]
+        total += weight
+    return total
+
+
+def random_chain(rng, r):
+    rates = rng.uniform(0.0, 2.0, size=(r, r))
+    Q = rates - np.diag(np.diag(rates))
+    p = rng.uniform(0.1, 1.0, size=r)
+    return ClassicalChain(states=r, Q=Q - np.diag(Q.sum(axis=1)), p0=p / p.sum())
 
 
 class TestClassicalChain:
@@ -56,6 +81,34 @@ class TestClassicalCorrelation:
         chain = ClassicalChain(states=2, Q=DECAY_Q, p0=[0.0, 1.0])
         w = classical_correlation(chain, [0.5, 1.0], [[0.0, 1.0], [0.0, 1.0]])
         assert abs(w - np.exp(-1.0)) <= 1e-12
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    def test_matches_the_per_path_loop(self, r):
+        rng = np.random.default_rng(40 + r)
+        for n in range(1, 7):
+            for _ in range(5):
+                chain = random_chain(rng, r)
+                times = np.sort(rng.uniform(0.0, 2.0, size=n))
+                f_list = [rng.uniform(-1.0, 1.0, size=r) for _ in range(n)]
+                got = classical_correlation(chain, times, f_list)
+                assert abs(got - loop_path_sum(chain, times, f_list)) <= 1e-15
+
+    @pytest.mark.parametrize("r,n,message", [
+        (2, 22, None),
+        (4, 11, None),
+        (2, 23, "needs 2**23 paths"),  # 23 times reach the budget's bit length
+        (3, 14, "needs 4782969 paths"),
+        (2, 10**4, "needs 2**10000 paths"),
+    ], ids=["2**22", "4**11", "2**23", "3**14", "2**10000"])
+    def test_path_budget_is_exact(self, r, n, message):
+        assert PATH_BUDGET == 2**22
+        chain = ClassicalChain(states=r, Q=np.zeros((r, r)), p0=np.full(r, 1.0 / r))
+        times, f_list = [0.5] * n, [np.ones(r)] * n
+        if message is None:
+            assert abs(classical_correlation(chain, times, f_list) - 1.0) <= 1e-12
+        else:
+            with pytest.raises(BudgetExceededError, match=re.escape(message)):
+                classical_correlation(chain, times, f_list)
 
     def test_rejects_unsorted_times(self):
         chain = ClassicalChain(states=2, Q=DECAY_Q, p0=[0.0, 1.0])

@@ -15,6 +15,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qregress.cli import main
+from qregress.io import load_density, load_model, load_query
+from qregress.regression import kernel_schrodinger
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 MODEL = str(DATA / "atom_model.json")
@@ -34,6 +36,7 @@ HUGE_MODEL = {
     "L": [[[0, 0], [1e200, 0]], [[0, 0], [0, 0]]],
 }
 DIPOLE_DATA = json.loads(Path(QUERY).read_text())
+DIPOLE_EXACT = kernel_schrodinger(load_model(MODEL), load_density(RHO), load_query(QUERY))
 HUGE_DIPOLE = {
     **DIPOLE_DATA,
     "a_ops": [HUGE, DIPOLE_DATA["a_ops"][1]],
@@ -167,6 +170,19 @@ class TestCorrelate:
         )
         assert code == 1
         assert "grid" in err or "multiple" in err
+
+    @pytest.mark.parametrize("command", ["correlate", "oracle"])
+    @pytest.mark.parametrize("dt", [repr(2.0**-60), "1e-300"], ids=["2**-60", "1e-300"])
+    def test_oracle_seq_below_rounding_floor_is_one_line(self, capsys, command, dt):
+        code, out, err = run(
+            [command, "--model", MODEL, "--rho", RHO, "--query", QUERY,
+             "--mode", "oracle-seq", "--dt", dt],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("validation error: dt = ") and err.count("\n") == 1
+        assert "rounding floor" in err
 
     def test_budget_flag(self, capsys):
         argv = ["correlate", "--model", MODEL, "--rho", RHO, "--query", QUERY,
@@ -389,12 +405,17 @@ def fuzzed_file(tmp_path_factory, base, edit) -> str:
     return write_json(tmp_path_factory.getbasetemp() / f"fuzzed_{Path(base).name}", data)
 
 
-def command_argv(tmp_path_factory, command):
-    """correlate on the dipole query; classical on a diagonal query it accepts."""
+def command_argv(tmp_path_factory, command, n_times):
+    """correlate on the dipole query; classical on n_times number insertions.
+
+    Up to 22 times the atom's 2**n paths fit the path budget; longer queries
+    must be rejected with one line.
+    """
     if command == "correlate":
         return ["correlate", "--query", QUERY]
-    query = write_json(tmp_path_factory.getbasetemp() / "number_query.json", NUMBER_QUERY)
-    return ["classical", "--query", query]
+    query = {"times": [(k + 1) / n_times for k in range(n_times)], "b_ops": [NUMBER] * n_times}
+    path = write_json(tmp_path_factory.getbasetemp() / "number_query.json", query)
+    return ["classical", "--query", path]
 
 
 JSON_VALUES = st.recursive(
@@ -409,6 +430,7 @@ MATRICES = st.lists(
     min_size=2, max_size=2,
 )
 COMMANDS = st.sampled_from(["correlate", "classical"])
+N_TIMES = st.integers(1, 2) | st.integers(18, 40)
 
 
 @given(edit=st.fixed_dictionaries(
@@ -424,25 +446,27 @@ def test_fuzzed_query_file_keeps_exit_contract(tmp_path_factory, edit):
 
 @given(
     command=COMMANDS,
+    n_times=N_TIMES,
     edit=st.fixed_dictionaries(
         {}, optional={"dim": JSON_VALUES, "H": JSON_VALUES | MATRICES, "L": JSON_VALUES | MATRICES}
     ),
 )
 @settings(max_examples=40, deadline=1000)
-def test_fuzzed_model_file_keeps_exit_contract(tmp_path_factory, command, edit):
+def test_fuzzed_model_file_keeps_exit_contract(tmp_path_factory, command, n_times, edit):
     model = fuzzed_file(tmp_path_factory, MODEL, edit)
-    argv = command_argv(tmp_path_factory, command) + ["--model", model, "--rho", RHO]
+    argv = command_argv(tmp_path_factory, command, n_times) + ["--model", model, "--rho", RHO]
     assert_exit_contract(*run_strict(argv))
 
 
 @given(
     command=COMMANDS,
+    n_times=N_TIMES,
     edit=st.fixed_dictionaries({}, optional={"dim": JSON_VALUES, "rho": JSON_VALUES | MATRICES}),
 )
 @settings(max_examples=40, deadline=1000)
-def test_fuzzed_state_file_keeps_exit_contract(tmp_path_factory, command, edit):
+def test_fuzzed_state_file_keeps_exit_contract(tmp_path_factory, command, n_times, edit):
     rho = fuzzed_file(tmp_path_factory, RHO, edit)
-    argv = command_argv(tmp_path_factory, command) + ["--model", MODEL, "--rho", rho]
+    argv = command_argv(tmp_path_factory, command, n_times) + ["--model", MODEL, "--rho", rho]
     assert_exit_contract(*run_strict(argv))
 
 
@@ -468,12 +492,30 @@ EVOLVE_ARGV = st.tuples(FLAG_T_END, FLAG_STEPS).map(
 ITO_ARGV = st.tuples(FLAG_DT, FLAG_TRUNC).map(lambda a: ["ito", "--dt", a[0], "--trunc", a[1]])
 
 
+def assert_oracle_seq_accuracy(argv, out):
+    """An accepted oracle-seq dipole value at dt <= 2**-8 is first-order close.
+
+    The error is about 0.059 dt above the rounding floor, plus N * u of
+    accumulated rounding (N steps to t = 1, u = 2**-53).
+    """
+    result = json.loads(out)
+    runs = result["runs"] if argv[0] == "oracle" else [result]
+    for record in runs:
+        dt = record["dt"]
+        if dt <= 2.0**-8:
+            error = abs(complex(*record["value"]) - DIPOLE_EXACT)
+            assert error <= 0.07 * dt + round(1.0 / dt) * 2.0**-53
+
+
 # the budget keeps every joint state at most 10**6 entries; --steps stays at
 # most 2000 rows of a 2x2 state
 @given(argv=ORACLE_ARGV | EVOLVE_ARGV | ITO_ARGV)
 @settings(max_examples=60, deadline=None)
 def test_fuzzed_flags_keep_exit_contract(argv):
-    assert_exit_contract(*run_strict(argv), finite_csv if argv[0] == "evolve" else strict_json)
+    code, out, err = run_strict(argv)
+    assert_exit_contract(code, out, err, finite_csv if argv[0] == "evolve" else strict_json)
+    if code == 0 and "oracle-seq" in argv:
+        assert_oracle_seq_accuracy(argv, out)
 
 
 def _cap_address_space():
@@ -496,6 +538,35 @@ def test_tiny_dt_joint_oracle_is_one_budget_line(command):
     assert proc.returncode == 1
     assert proc.stderr.startswith("validation error: joint state needs")
     assert proc.stderr.count("\n") == 1
+
+
+def test_long_classical_query_is_one_budget_line(tmp_path):
+    # a 4-state cyclic jump keeps diagonals diagonal; 20 times make 4**20 paths
+    r = 4
+    jump = np.roll(np.eye(r), 1, axis=0)
+    model = {"dim": r, "H": [[[0, 0]] * r] * r, "L": [[[x, 0] for x in row] for row in jump]}
+    rho = {"dim": r, "rho": [[[1 / r if i == j else 0, 0] for j in range(r)] for i in range(r)]}
+    query = {"times": [0.1 * (k + 1) for k in range(20)],
+             "b_ops": [[[[1 if i == j else 0, 0] for j in range(r)] for i in range(r)]] * 20}
+    proc = subprocess.run(
+        [sys.executable, "-m", "qregress.cli", "classical",
+         "--model", write_json(tmp_path / "model.json", model),
+         "--rho", write_json(tmp_path / "rho.json", rho),
+         "--query", write_json(tmp_path / "query.json", query)],
+        capture_output=True,
+        text=True,
+        # about 0.6 s, mostly interpreter start-up; a per-path loop at 5.7 us
+        # a path would run for about 70 days
+        timeout=5,
+        preexec_fn=_cap_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "validation error: path sum needs 1099511627776 paths for 20 times, "
+        "budget is 4194304\n"
+    )
 
 
 def test_console_script_runs():

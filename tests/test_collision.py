@@ -16,6 +16,7 @@ from qregress import (
     oracle_kernel_joint,
     oracle_kernel_joint_mixed,
     oracle_kernel_sequential,
+    pure_density,
     slot_annihilator,
     step_unitary,
     vacuum_conditional_expectation,
@@ -124,6 +125,23 @@ class TestSequentialOracle:
         with pytest.raises(GridAlignmentError):
             oracle_kernel_sequential(atom, excited, q, CollisionConfig(dt=1 / 16))
 
+    def test_fine_step_above_the_rounding_floor(self, atom, excited):
+        # 2**20 channel steps carry 2**-33 rounding, far below the O(dt) error
+        dt = 2.0**-20
+        w = oracle_kernel_sequential(atom, excited, DIPOLE, CollisionConfig(dt=dt))
+        assert abs(w - kernel_schrodinger(atom, excited, DIPOLE)) <= 0.06 * dt
+
+    def test_rounding_floor_is_inclusive(self, atom, excited):
+        # 2**26 steps to t = 1 carry N * u = 2**-27 <= dt; at 2**-27 it is 2 dt
+        dt = 2.0**-26
+        w = oracle_kernel_sequential(atom, excited, DIPOLE, CollisionConfig(dt=dt))
+        assert abs(w - kernel_schrodinger(atom, excited, DIPOLE)) <= 0.07 * dt + 2.0**-27
+
+    @pytest.mark.parametrize("dt", [2.0**-27, 2.0**-60, 1e-300], ids=["2**-27", "2**-60", "1e-300"])
+    def test_rejects_dt_below_the_rounding_floor(self, atom, excited, dt):
+        with pytest.raises(ValidationError, match="rounding floor"):
+            oracle_kernel_sequential(atom, excited, DIPOLE, CollisionConfig(dt=dt))
+
 
 class TestJointOracle:
     def test_normalization_exact(self, atom):
@@ -186,6 +204,28 @@ class TestJointOracle:
         q = CorrelationQuery(times=(0.25,), a_ops=(I2,), b_ops=(NUM,))
         with pytest.raises(ValidationError):
             oracle_kernel_joint(atom, 2.0 * EXCITED_KET, q, CollisionConfig(dt=1 / 16))
+
+    @pytest.mark.parametrize("d,trunc", [(3, 2), (3, 3), (4, 2), (4, 3)])
+    def test_random_models_match_sequential(self, d, trunc):
+        # the stacked joint state puts each new slot next to the system, so
+        # d != m checks that the slot order is never confused with the system
+        rng = np.random.default_rng(10 * d + trunc)
+        cfg = CollisionConfig(dt=1 / 8, trunc=trunc)
+        for _ in range(3):
+            model, rho = verify.random_model(rng, d), verify.random_density(rng, d)
+            psi = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            psi /= np.linalg.norm(psi)
+            n = int(rng.integers(1, 4))
+            slots = np.sort(rng.integers(0, 6, size=n))
+            q = CorrelationQuery(
+                times=tuple(slots * cfg.dt),
+                a_ops=tuple(verify.random_operator(rng, d) for _ in range(n)),
+                b_ops=tuple(verify.random_operator(rng, d) for _ in range(n)),
+            )
+            pure = oracle_kernel_joint(model, psi, q, cfg)
+            assert abs(pure - oracle_kernel_sequential(model, pure_density(psi), q, cfg)) <= 1e-10
+            mixed = oracle_kernel_joint_mixed(model, rho, q, cfg)
+            assert abs(mixed - oracle_kernel_sequential(model, rho, q, cfg)) <= 1e-10
 
     def test_mixed_state_wrapper(self, atom):
         from qregress import DensityOperator
