@@ -17,6 +17,7 @@ from . import io
 from .classical import compare_quantum_classical
 from .collision import (
     ITO_TOL,
+    MOMENT_NAMES,
     CollisionConfig,
     DEFAULT_BUDGET,
     ito_table_check,
@@ -27,7 +28,7 @@ from .errors import QRegressError
 from .linalg import unvec, vec
 from .model import atom_model
 from .regression import kernel_heisenberg, kernel_schrodinger
-from .semigroup import generator_matrix, propagator
+from .semigroup import generator_matrix, propagators
 from .verify import run_all
 
 EXIT_OK = 0
@@ -63,7 +64,8 @@ def cmd_evolve(args) -> int:
     if not 0 < args.t_end < np.inf:
         raise UsageError(f"--t-end must be positive and finite, got {args.t_end}")
     d = model.dim
-    step = propagator(generator_matrix(model, "schrodinger"), args.t_end / args.steps).mat
+    h = args.t_end / args.steps
+    step = propagators(generator_matrix(model, "schrodinger").mat, (h,))[h]
     header = ["t"]
     for i in range(d):
         for j in range(d):
@@ -145,26 +147,16 @@ def cmd_ito(args) -> int:
     result = {
         "dt": args.dt,
         "trunc": args.trunc,
-        "moments": {
-            "bb_dag": io.complex_pair(report.bb_dag),
-            "bdag_b": io.complex_pair(report.bdag_b),
-            "bb": io.complex_pair(report.bb),
-            "bdag_bdag": io.complex_pair(report.bdag_bdag),
-        },
-        "expected": {
-            "bb_dag": [args.dt, 0.0],
-            "bdag_b": [0.0, 0.0],
-            "bb": [0.0, 0.0],
-            "bdag_bdag": [0.0, 0.0],
-        },
+        "moments": dict(zip(MOMENT_NAMES, map(io.complex_pair, report.moments))),
+        "expected": dict(zip(MOMENT_NAMES, map(io.complex_pair, report.expected))),
         "max_moment_error": report.moment_error,
         "commutator_defect": report.commutator_defect,
     }
     io.write_output(io.json_text(result), args.out)
-    if report.moment_error > ITO_TOL or report.commutator_defect > ITO_TOL:
-        raise NumericalViolation(
-            f"vacuum moments deviate by {report.moment_error:.3g}"
-        )
+    over = [f"{key} = {result[key]:.3g}"
+            for key in ("max_moment_error", "commutator_defect") if result[key] > ITO_TOL]
+    if over:
+        raise NumericalViolation(f"{', '.join(over)} above the bound {ITO_TOL:g}")
     return EXIT_OK
 
 
@@ -184,6 +176,8 @@ def cmd_classical(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     extra = []
     if args.model is not None:
         extra.append(io.load_model(args.model))
@@ -287,6 +281,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:
+        # numpy's message names the array that did not fit
+        print(f"validation error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
 
 def entry() -> None:

@@ -14,13 +14,15 @@ to system (x) slot; the exponential is exactly unitary and generates the
 Joint-space index order is system (x) slot_1 (x) ... (x) slot_N, with later
 slots minor; ``vacuum_conditional_expectation`` works in that order.  Kernels
 are evaluated here by two strategies that never touch the semigroup
-machinery:
+machinery; the channel and U are plain arrays:
 
 * ``oracle_kernel_sequential`` composes the one-collision reduced channel on
   density matrices, inserting b_k . a_k^dag at the query times;
 * ``oracle_kernel_joint`` applies the two operator strings to a pair of pure
   joint states and takes their inner product, growing the state vector one
-  vacuum slot at a time.  Its memory is d * m^N entries, gated by a budget.
+  vacuum slot at a time.  A mixed state rho = Psi Psi^dag enters as the
+  columns of Psi, swept one at a time with one U: the memory stays d * m^N
+  entries, gated by a budget.
   It keeps the newest slot next to the system (system (x) slot_N (x) ... (x)
   slot_1), so a collision is one matrix product with no transpose; the
   inner product does not depend on the order of the slots.
@@ -46,13 +48,13 @@ from .errors import (
 from .linalg import as_complex_matrix, dag, mat_exp, unvec, vec
 from .model import DensityOperator, SystemModel
 from .regression import CorrelationQuery, _check_dims
-from .semigroup import SuperOperator
 
 GRID_ATOL = 1e-12
 DEFAULT_BUDGET = 200_000
 # the vacuum moments and the commutator below truncation are exact up to rounding
 ITO_TOL = 1e-15
 UNIT_ROUNDOFF = 2.0**-53
+MOMENT_NAMES = ("bb_dag", "bdag_b", "bb", "bdag_bdag")
 
 
 @dataclass(frozen=True)
@@ -109,11 +111,11 @@ def step_unitary(model: SystemModel, cfg: CollisionConfig) -> np.ndarray:
     return mat_exp(gen)
 
 
-def collision_channel(model: SystemModel, cfg: CollisionConfig) -> SuperOperator:
+def collision_channel(model: SystemModel, cfg: CollisionConfig) -> np.ndarray:
     """Reduced one-step channel E(s) = Tr_slot(U (s (x) |0><0|) U^dag).
 
-    Returned in the column-stacking convention; its Kraus operators are the
-    slot-output blocks K_k = <k| U |0> acting on the system.
+    A d^2 x d^2 array in the column-stacking convention; its Kraus operators
+    are the slot-output blocks K_k = <k| U |0> acting on the system.
     """
     U = step_unitary(model, cfg)
     d, m = model.dim, cfg.trunc
@@ -122,7 +124,7 @@ def collision_channel(model: SystemModel, cfg: CollisionConfig) -> SuperOperator
     for k in range(m):
         kraus = U4[:, k, :, 0]
         mat += np.kron(kraus.conj(), kraus)
-    return SuperOperator(dim=d, mat=mat)
+    return mat
 
 
 def oracle_kernel_sequential(
@@ -141,7 +143,7 @@ def oracle_kernel_sequential(
             f"dt = {cfg.dt} is below the rounding floor of {indices[-1]} channel "
             f"steps: N * 2**-53 = {indices[-1] * UNIT_ROUNDOFF:.3g} exceeds dt"
         )
-    channel = collision_channel(model, cfg).mat
+    channel = collision_channel(model, cfg)
     d = model.dim
     v = vec(rho.rho)
     done = 0
@@ -164,18 +166,19 @@ def oracle_kernel_joint(
 ) -> complex:
     """Kernel as the inner product of two operator-string joint states.
 
-    Both strings share every collision unitary, so the propagation past the
-    last query time cancels and the sweep stops there.  The initial system
-    state must be pure; mixed states go through
-    :func:`oracle_kernel_joint_mixed`.
+    ``psi0`` is a ket or a d x r factor Psi of rho = Psi Psi^dag, with
+    ||Psi||_F = 1; the columns share U and are swept one at a time.  Both
+    strings share every collision unitary, so the propagation past the last
+    query time cancels and the sweep stops there.
     """
-    psi = np.asarray(psi0, dtype=np.complex128).reshape(-1)
-    if psi.size != model.dim or query.dim != model.dim:
+    factor = np.asarray(psi0, dtype=np.complex128)
+    factor = factor if factor.ndim == 2 else factor.reshape(-1, 1)
+    if factor.shape[0] != model.dim or query.dim != model.dim:
         raise DimensionError(
-            f"dimension mismatch: model {model.dim}, psi {psi.size}, query {query.dim}"
+            f"dimension mismatch: model {model.dim}, psi {factor.shape[0]}, query {query.dim}"
         )
-    if abs(np.linalg.norm(psi) - 1.0) > 1e-10:
-        raise ValidationError(f"initial state norm {np.linalg.norm(psi):.12g} is not 1")
+    if abs(np.linalg.norm(factor) - 1.0) > 1e-10:
+        raise ValidationError(f"initial state norm {np.linalg.norm(factor):.12g} is not 1")
     indices = [grid_index(t, cfg.dt) for t in query.times]
     d, m, slots = model.dim, cfg.trunc, indices[-1]
     # m >= 2, so m**slots alone exceeds the budget from its bit length on; the
@@ -189,14 +192,17 @@ def oracle_kernel_joint(
         )
     # every slot enters in the vacuum, so only U's input column |0> acts
     U0 = step_unitary(model, cfg).reshape(d, m, d, m)[:, :, :, 0].reshape(d * m, d)
-    phis = np.stack([psi, psi]).reshape(2, d, 1)  # the a- and b-strings
-    done = 0
-    for k, idx in enumerate(indices):
-        for _ in range(idx - done):
-            phis = (U0 @ phis).reshape(2, d, -1)
-        done = idx
-        phis = np.stack([query.a_ops[k], query.b_ops[k]]) @ phis
-    return complex(np.vdot(phis[0], phis[1]))
+    total = 0j
+    for column in factor.T:
+        phis = np.stack([column, column]).reshape(2, d, 1)  # the a- and b-strings
+        done = 0
+        for k, idx in enumerate(indices):
+            for _ in range(idx - done):
+                phis = (U0 @ phis).reshape(2, d, -1)
+            done = idx
+            phis = np.stack([query.a_ops[k], query.b_ops[k]]) @ phis
+        total += np.vdot(phis[0], phis[1])
+    return complex(total)
 
 
 def oracle_kernel_joint_mixed(
@@ -205,13 +211,15 @@ def oracle_kernel_joint_mixed(
     query: CorrelationQuery,
     cfg: CollisionConfig,
 ) -> complex:
-    """Joint-mode kernel for a mixed state via its eigenvector ensemble."""
+    """Joint-mode kernel for a mixed state via its eigenvector factor."""
+    _check_dims(model, rho, query)
     weights, vectors = np.linalg.eigh(rho.rho)
-    total = 0.0 + 0.0j
-    for w, v in zip(weights, vectors.T):
-        if w > 1e-12:
-            total += w * oracle_kernel_joint(model, v / np.linalg.norm(v), query, cfg)
-    return complex(total)
+    keep = weights > 1e-12
+    # a valid rho's trace and negative eigenvalues may each be 1e-10 off, so
+    # the factor is normalized and the kept weight restored on the kernel
+    kept = weights[keep].sum()
+    factor = vectors[:, keep] * np.sqrt(weights[keep] / kept)
+    return complex(kept * oracle_kernel_joint(model, factor, query, cfg))
 
 
 def vacuum_conditional_expectation(
@@ -243,24 +251,21 @@ def vacuum_conditional_expectation(
 
 @dataclass(frozen=True)
 class ItoReport:
-    """Vacuum moments of the slot increment and the commutator defect."""
+    """Vacuum moments of the slot increment (``MOMENT_NAMES``) and the commutator defect."""
 
     dt: float
     trunc: int
-    bb_dag: complex
-    bdag_b: complex
-    bb: complex
-    bdag_bdag: complex
+    moments: tuple[complex, complex, complex, complex]
     commutator_defect: float
 
     @property
-    def moments(self) -> tuple[complex, complex, complex, complex]:
-        return (self.bb_dag, self.bdag_b, self.bb, self.bdag_bdag)
+    def expected(self) -> tuple[float, float, float, float]:
+        """The vacuum Ito table (dt, 0, 0, 0)."""
+        return (self.dt, 0.0, 0.0, 0.0)
 
     @property
     def moment_error(self) -> float:
-        expected = (self.dt, 0.0, 0.0, 0.0)
-        return max(abs(m - e) for m, e in zip(self.moments, expected))
+        return max(abs(m - e) for m, e in zip(self.moments, self.expected))
 
 
 def _field_quadrature(f_vals: Sequence[complex], cfg: CollisionConfig) -> np.ndarray:
@@ -317,12 +322,4 @@ def ito_table_check(
         if all((idx // m**p) % m < m - 1 for p in range(len(f_vals)))
     ]
     defect = float(np.abs(defect_mat[np.ix_(below, below)]).max())
-    return ItoReport(
-        dt=cfg.dt,
-        trunc=m,
-        bb_dag=moments[0],
-        bdag_b=moments[1],
-        bb=moments[2],
-        bdag_bdag=moments[3],
-        commutator_defect=defect,
-    )
+    return ItoReport(dt=cfg.dt, trunc=m, moments=moments, commutator_defect=defect)

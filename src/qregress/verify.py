@@ -415,7 +415,7 @@ def check_channel_order(seed: int) -> list[CheckResult]:
         gen = generator_matrix(model, "schrodinger").mat
 
         def defect(dt: float) -> float:
-            E = collision_channel(model, CollisionConfig(dt=dt, trunc=2)).mat
+            E = collision_channel(model, CollisionConfig(dt=dt, trunc=2))
             return np.linalg.norm(E - propagators(gen, (dt,))[dt])
 
         ratio = defect(0.02) / defect(0.01)
@@ -475,8 +475,8 @@ def check_truncation(seed: int) -> list[CheckResult]:
     rho = random_density(rng, 2)
 
     def channel_gap(dt: float) -> float:
-        e2 = collision_channel(model, CollisionConfig(dt=dt, trunc=2)).mat
-        e3 = collision_channel(model, CollisionConfig(dt=dt, trunc=3)).mat
+        e2 = collision_channel(model, CollisionConfig(dt=dt, trunc=2))
+        e3 = collision_channel(model, CollisionConfig(dt=dt, trunc=3))
         return np.linalg.norm(e2 - e3)
 
     ratio = channel_gap(1 / 32) / channel_gap(1 / 64)

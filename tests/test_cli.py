@@ -228,6 +228,29 @@ class TestIto:
         assert abs(result["moments"]["bb_dag"][0] - 0.01) <= 1e-15
         assert result["max_moment_error"] <= 1e-15
 
+    def test_expected_block_is_the_report_table(self, capsys):
+        from qregress import CollisionConfig, ito_table_check
+        from qregress.collision import MOMENT_NAMES
+
+        code, out, _ = run(["ito", "--dt", "0.25", "--trunc", "3"], capsys)
+        assert code == 0
+        expected = ito_table_check(CollisionConfig(dt=0.25, trunc=3)).expected
+        assert json.loads(out)["expected"] == {
+            name: [complex(e).real, complex(e).imag] for name, e in zip(MOMENT_NAMES, expected)
+        }
+
+    def test_failure_names_the_quantity_over_the_bound(self, capsys):
+        # the moments are exact here; the 300-level commutator rounds to 1.12e-15
+        code, out, err = run(["ito", "--dt", "0.01", "--trunc", "300"], capsys)
+        assert code == 2
+        result = json.loads(out)
+        assert result["max_moment_error"] <= 1e-15 < result["commutator_defect"]
+        assert err == (
+            "numerical property violation: commutator_defect = "
+            f"{result['commutator_defect']:.3g} above the bound 1e-15\n"
+        )
+        assert "max_moment_error" not in err
+
 
 class TestClassicalCommand:
     def test_number_query(self, capsys, tmp_path):
@@ -265,6 +288,12 @@ class TestVerifyCommand:
     def test_seed_variation(self, capsys):
         code, _, _ = run(["verify", "--seed", "12345"], capsys)
         assert code == 0
+
+    def test_negative_seed_is_one_usage_line(self, capsys):
+        code, out, err = run(["verify", "--seed", "-1"], capsys)
+        assert code == 1
+        assert out == ""
+        assert err == "usage error: --seed must be >= 0, got -1\n"
 
     def test_corrupted_model(self, capsys, tmp_path):
         bad = tmp_path / "bad_model.json"
@@ -537,6 +566,26 @@ def test_tiny_dt_joint_oracle_is_one_budget_line(command):
     )
     assert proc.returncode == 1
     assert proc.stderr.startswith("validation error: joint state needs")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["ito", "--trunc", "100000"],  # a 149 GiB slot matrix
+    ["correlate", *FILES, "--query", QUERY, "--mode", "oracle-seq", "--trunc", "30000"],
+], ids=["ito", "correlate"])
+def test_allocation_failure_is_one_line(argv, tmp_path):
+    out = tmp_path / "out.json"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qregress.cli", *argv, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=20,
+        preexec_fn=_cap_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == "" and not out.exists()
+    assert proc.stderr.startswith("validation error: Unable to allocate")
     assert proc.stderr.count("\n") == 1
 
 

@@ -1,4 +1,6 @@
+import ast
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from qregress import (
     vacuum_conditional_expectation,
     verify,
 )
+from qregress import collision
 from qregress.collision import ITO_TOL
+from qregress.linalg import unvec, vec
 from qregress.regression import CorrelationQuery
 from qregress.verify import EXCITED_KET, EYE2 as I2, NUMBER as NUM, SIGMA_MINUS as SM
 
@@ -83,12 +87,12 @@ class TestCollisionChannel:
     def test_trivial_model_is_identity(self):
         model = SystemModel(dim=2, H=np.zeros((2, 2)), L=np.zeros((2, 2)))
         E = collision_channel(model, CollisionConfig(dt=0.1))
-        np.testing.assert_allclose(E.mat, np.eye(4), atol=1e-14)
+        np.testing.assert_allclose(E, np.eye(4), atol=1e-14)
 
     def test_ground_state_stationary(self, atom):
         E = collision_channel(atom, CollisionConfig(dt=0.02))
         ground = np.diag([1.0, 0.0]).astype(complex)
-        np.testing.assert_allclose(E.apply(ground), ground, atol=1e-12)
+        np.testing.assert_allclose(unvec(E @ vec(ground), 2), ground, atol=1e-12)
 
     def test_trace_preserving_and_cp(self, atom):
         from qregress import choi_matrix
@@ -97,8 +101,8 @@ class TestCollisionChannel:
         E = collision_channel(atom, CollisionConfig(dt=0.05))
         rng = np.random.default_rng(0)
         sigma = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        assert abs(np.trace(E.apply(sigma)) - np.trace(sigma)) <= 1e-10
-        assert min_hermitian_eig(choi_matrix(E.mat)) >= -1e-10
+        assert abs(np.trace(unvec(E @ vec(sigma), 2)) - np.trace(sigma)) <= 1e-10
+        assert min_hermitian_eig(choi_matrix(E)) >= -1e-10
 
     def test_second_order_agreement_with_semigroup(self):
         atom_order, _ = verify.check_channel_order(0)
@@ -224,8 +228,54 @@ class TestJointOracle:
             )
             pure = oracle_kernel_joint(model, psi, q, cfg)
             assert abs(pure - oracle_kernel_sequential(model, pure_density(psi), q, cfg)) <= 1e-10
-            mixed = oracle_kernel_joint_mixed(model, rho, q, cfg)
-            assert abs(mixed - oracle_kernel_sequential(model, rho, q, cfg)) <= 1e-10
+            seq = oracle_kernel_sequential(model, rho, q, cfg)
+            assert abs(oracle_kernel_joint_mixed(model, rho, q, cfg) - seq) <= 1e-10
+            # the factor Psi = V diag(sqrt(w)), with rho = Psi Psi^dag, passed straight in
+            weights, vectors = np.linalg.eigh(rho.rho)
+            factor = vectors * np.sqrt(np.clip(weights, 0.0, None))
+            assert abs(oracle_kernel_joint(model, factor, q, cfg) - seq) <= 1e-10
+
+    def test_rejects_unnormalized_factor(self, atom):
+        q = CorrelationQuery(times=(0.25,), a_ops=(I2,), b_ops=(NUM,))
+        factor = np.diag([0.6, 0.6]).astype(complex)  # ||Psi||_F^2 = 0.72
+        with pytest.raises(ValidationError, match="norm"):
+            oracle_kernel_joint(atom, factor, q, CollisionConfig(dt=1 / 16))
+
+    def test_mixed_state_forms_one_step_unitary(self, monkeypatch):
+        calls = []
+        original = collision.step_unitary
+
+        def counted(model, cfg):
+            calls.append(cfg)
+            return original(model, cfg)
+
+        monkeypatch.setattr(collision, "step_unitary", counted)
+        rng = np.random.default_rng(5)
+        model, rho = verify.random_model(rng, 3), verify.random_density(rng, 3)
+        assert np.linalg.eigvalsh(rho.rho).min() > 1e-3  # full rank: three columns
+        q = CorrelationQuery(times=(0.25,), a_ops=(np.eye(3),), b_ops=(np.eye(3),))
+        cfg = CollisionConfig(dt=1 / 8, trunc=2)
+        w = oracle_kernel_joint_mixed(model, rho, q, cfg)
+        assert len(calls) == 1
+        assert abs(w - oracle_kernel_sequential(model, rho, q, cfg)) <= 1e-10
+
+    def test_mixed_state_at_the_density_tolerance(self):
+        # trace 1 + 0.9e-10 and two eigenvalues at -0.9e-10 make a valid rho
+        # whose kept weights sum to 1 + 2.7e-10: a factor of them has a norm
+        # 1.35e-10 off 1, yet the kernel is still the weighted eigenvector sum
+        from qregress import DensityOperator
+
+        rng = np.random.default_rng(3)
+        d, e = 4, 0.9e-10
+        Q = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        rho = DensityOperator(dim=d, rho=(Q * [0.5 + 3 * e, 0.5, -e, -e]) @ Q.conj().T)
+        model = verify.random_model(rng, d)
+        q = CorrelationQuery(times=(0.25,), a_ops=(np.eye(d),), b_ops=(np.eye(d),))
+        cfg = CollisionConfig(dt=1 / 8)
+        weights, vectors = np.linalg.eigh(rho.rho)
+        ensemble = sum(w * oracle_kernel_joint(model, v, q, cfg)
+                       for w, v in zip(weights, vectors.T) if w > 1e-12)
+        assert abs(oracle_kernel_joint_mixed(model, rho, q, cfg) - ensemble) <= 1e-15
 
     def test_mixed_state_wrapper(self, atom):
         from qregress import DensityOperator
@@ -310,6 +360,15 @@ class TestVacuumConditionalExpectation:
 
         with pytest.raises(DimensionError):
             vacuum_conditional_expectation(np.eye(7), self.d, self.m, self.slots, cut=1)
+
+
+def test_collision_imports_nothing_from_semigroup():
+    # the collision oracle is the semigroup's independent cross-check
+    tree = ast.parse(Path(collision.__file__).read_text())
+    sources = [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    sources += [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                for alias in node.names]
+    assert not [name for name in sources if name and name.split(".")[-1] == "semigroup"]
 
 
 class TestItoTable:
