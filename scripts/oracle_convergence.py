@@ -7,16 +7,16 @@ entry budget), printing the error table with halving ratios.
 """
 
 import argparse
+from dataclasses import replace
 
 from qregress import (
     CollisionConfig,
-    CorrelationQuery,
     atom_model,
     kernel_schrodinger,
     oracle_kernel_joint,
     oracle_kernel_sequential,
 )
-from qregress.verify import EXCITED, EXCITED_KET, EYE2, SIGMA_MINUS
+from qregress.verify import DIPOLE, EXCITED, EXCITED_KET
 
 
 def table(label, errors):
@@ -36,20 +36,15 @@ def main():
 
     model = atom_model(args.gamma)
 
-    seq_query = CorrelationQuery(
-        times=(0.5, 1.0), a_ops=(SIGMA_MINUS, EYE2), b_ops=(EYE2, SIGMA_MINUS)
-    )
-    exact = kernel_schrodinger(model, EXCITED, seq_query)
+    exact = kernel_schrodinger(model, EXCITED, DIPOLE)
     seq_errors = []
     for k in (5, 6, 7, 8, 9):
         dt = 2.0**-k
-        w = oracle_kernel_sequential(model, EXCITED, seq_query, CollisionConfig(dt=dt))
+        w = oracle_kernel_sequential(model, EXCITED, DIPOLE, CollisionConfig(dt=dt))
         seq_errors.append((dt, abs(w - exact)))
     table(f"sequential oracle, dipole kernel (exact {exact.real:.10f})", seq_errors)
 
-    joint_query = CorrelationQuery(
-        times=(0.125, 0.25), a_ops=(SIGMA_MINUS, EYE2), b_ops=(EYE2, SIGMA_MINUS)
-    )
+    joint_query = replace(DIPOLE, times=tuple(t / 4 for t in DIPOLE.times))
     exact_joint = kernel_schrodinger(model, EXCITED, joint_query)
     joint_errors = []
     for k in (4, 5, 6):

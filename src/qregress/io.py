@@ -46,10 +46,9 @@ def matrix_to_pairs(mat: np.ndarray) -> list:
 
 
 def _load_json(path: str | Path) -> dict:
-    text = Path(path).read_text()
     try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text())
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ValidationError(f"{path}: invalid JSON ({exc})") from exc
     if not isinstance(data, dict):
         raise ValidationError(f"{path}: expected a JSON object")
@@ -58,9 +57,12 @@ def _load_json(path: str | Path) -> dict:
 
 def _dim(data: dict, path: str | Path) -> int:
     try:
-        return int(data["dim"])
+        dim = int(data["dim"])
+        if dim != data["dim"]:
+            raise ValueError(dim)
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: dim {data['dim']!r} is not an integer") from exc
+    return dim
 
 
 def load_model(path: str | Path) -> SystemModel:

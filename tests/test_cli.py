@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -42,6 +43,54 @@ HUGE_DIPOLE = {
     "a_ops": [HUGE, DIPOLE_DATA["a_ops"][1]],
     "b_ops": [HUGE, DIPOLE_DATA["b_ops"][1]],
 }
+
+# the (name, bound) pairs of `verify --seed 0`, in print order
+VERIFY_CHECKS = [
+    ("linalg.exp_commuting_product", "<= 1e-10"),
+    ("linalg.exp_adjoint", "<= 1e-12"),
+    ("linalg.partial_trace_preserves_trace", "<= 1e-12"),
+    ("linalg.kron_associative", "<= 0"),
+    ("model.generator_duality", "<= 1e-11"),
+    ("model.trace_annihilation", "<= 1e-11"),
+    ("model.hermiticity_preservation", "<= 1e-11"),
+    ("model.unital_generator", "<= 1e-12"),
+    ("semigroup.choi_min_eig", ">= -1e-09"),
+    ("semigroup.trace_preservation", "<= 1e-10"),
+    ("semigroup.law", "<= 1e-09"),
+    ("semigroup.identity_preservation", "<= 1e-10"),
+    ("semigroup.duality", "<= 1e-10"),
+    ("semigroup.spectral_vs_squaring", "<= 1e-12"),
+    ("semigroup.forward_difference_ratio", "in [1.7, 2.3]"),
+    ("regression.form_equivalence", "<= 1e-10"),
+    ("regression.hermitian_symmetry", "<= 1e-10"),
+    ("regression.gram_min_eig", ">= -1e-09"),
+    ("regression.coincident_times_collapse", "<= 1e-10"),
+    ("regression.atom_population", "<= 1e-10"),
+    ("regression.atom_dipole", "<= 1e-10"),
+    ("regression.order_dependence", "> 0.1"),
+    ("collision.step_unitarity", "<= 1e-10"),
+    ("collision.channel_second_order_atom", "in [3.2, 4.8]"),
+    ("collision.channel_second_order_random", "in [3.2, 4.8]"),
+    ("collision.sequential_halving_ratio_n1", "in [1.7, 2.3]"),
+    ("collision.sequential_halving_ratio_n2", "in [1.7, 2.3]"),
+    ("collision.sequential_halving_ratio_n3", "in [1.7, 2.3]"),
+    ("collision.joint_halving_ratio_n1", "in [1.7, 2.3]"),
+    ("collision.joint_halving_ratio_n2", "in [1.7, 2.3]"),
+    ("collision.joint_halving_ratio_n3", "in [1.7, 2.3]"),
+    ("collision.joint_matches_sequential", "<= 1e-10"),
+    ("collision.truncation_slot_gap_ratio", "in [3.2, 4.8]"),
+    ("collision.truncation_kernel_gap", "<= 0.005"),
+    ("collision.ito_moments", "<= 1e-15"),
+    ("collision.ito_commutator", "<= 1e-15"),
+    ("collision.conditional_module_property", "<= 1e-12"),
+    ("collision.conditional_tower", "<= 1e-12"),
+    ("collision.markov_collapse", "<= 1e-12"),
+    ("classical.atom_generator", "<= 1e-12"),
+    ("classical.chapman_kolmogorov", "<= 1e-10"),
+    ("classical.stochasticity", "<= 1e-10"),
+    ("classical.absorbing_two_point", "<= 1e-10"),
+    ("classical.embedding_diff", "<= 1e-10"),
+]
 
 
 def run(argv, capsys):
@@ -284,6 +333,8 @@ class TestVerifyCommand:
         code, out, _ = run(["verify", "--seed", "0"], capsys)
         assert code == 0
         assert "PASS" in out and "FAIL" not in out
+        line = re.compile(r"PASS (\S+) +measured=-?\d\.\d{6}e[+-]\d{2,3}  bound=(.+)")
+        assert [line.fullmatch(row).groups() for row in out.splitlines()] == VERIFY_CHECKS
 
     def test_seed_variation(self, capsys):
         code, _, _ = run(["verify", "--seed", "12345"], capsys)
@@ -331,13 +382,26 @@ class TestErrorPaths:
 
     def test_malformed_json_is_validation_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
-        bad.write_text("{not json")
-        code, _, err = run(
-            ["correlate", "--model", str(bad), "--rho", RHO, "--query", QUERY],
-            capsys,
-        )
-        assert code == 1
-        assert "JSON" in err
+        # not JSON, not UTF-8, and nested past the decoder's recursion limit
+        for payload in (b"{not json", b"\xff\xfe\x00bad", b"[" * 100_000 + b"]" * 100_000):
+            bad.write_bytes(payload)
+            code, out, err = run(
+                ["correlate", "--model", str(bad), "--rho", RHO, "--query", QUERY],
+                capsys,
+            )
+            assert code == 1
+            assert out == ""
+            assert err.startswith(f"validation error: {bad}: invalid JSON (")
+            assert err.count("\n") == 1
+
+    def test_integral_float_dim_is_accepted(self, capsys, tmp_path):
+        data = json.loads(Path(MODEL).read_text())
+        outputs = []
+        for dim in (2, 2.0):
+            model = write_json(tmp_path / "model.json", {**data, "dim": dim})
+            outputs.append(run(["correlate", "--model", model, "--rho", RHO, "--query", QUERY],
+                               capsys))
+        assert outputs[0][0] == 0 and outputs[1] == outputs[0]
 
     def test_unknown_flag_is_usage_error(self, capsys):
         code, _, _ = run(["correlate", "--bogus"], capsys)
@@ -347,6 +411,7 @@ class TestErrorPaths:
         "kind,edit",
         [
             ("model", {"dim": "two"}),
+            ("model", {"dim": 2.9}),
             ("model", {"H": [[["x", 0], [0, 0]], [[0, 0], [0, 0]]]}),
             ("query", {"times": ["a", 1.0]}),
             ("query", {"times": 5}),
@@ -354,7 +419,7 @@ class TestErrorPaths:
             ("query", {"b_ops": 5}),
             ("query", {"a_ops": 5}),
         ],
-        ids=["dim-word", "matrix-entry-word", "times-word", "times-scalar", "times-string",
+        ids=["dim-word", "dim-fraction", "matrix-entry-word", "times-word", "times-scalar", "times-string",
              "b-ops-scalar", "a-ops-scalar"],
     )
     def test_malformed_value_is_one_validation_line(self, capsys, tmp_path, kind, edit):

@@ -28,9 +28,7 @@ from qregress import collision
 from qregress.collision import ITO_TOL
 from qregress.linalg import unvec, vec
 from qregress.regression import CorrelationQuery
-from qregress.verify import EXCITED_KET, EYE2 as I2, NUMBER as NUM, SIGMA_MINUS as SM
-
-DIPOLE = CorrelationQuery(times=(0.5, 1.0), a_ops=(SM, I2), b_ops=(I2, SM))
+from qregress.verify import DIPOLE, EXCITED_KET, EYE2 as I2, NUMBER as NUM, SIGMA_MINUS as SM
 
 
 class TestCollisionConfig:

@@ -17,6 +17,7 @@ from qregress import (
 from qregress.linalg import dag, matrix_unit, min_hermitian_eig, unvec, vec
 from qregress.semigroup import SPECTRAL_COND_LIMIT, compiled_propagator, propagators
 from qregress.verify import (
+    DIPOLE,
     EYE2 as I2,
     NUMBER as NUM,
     SIGMA_MINUS as SM,
@@ -81,7 +82,7 @@ class TestHeisenbergKernel:
         queries = [
             CorrelationQuery(times=(0.7,), a_ops=(I2,), b_ops=(I2,)),
             CorrelationQuery(times=(1.0,), a_ops=(I2,), b_ops=(NUM,)),
-            CorrelationQuery(times=(0.5, 1.0), a_ops=(SM, I2), b_ops=(I2, SM)),
+            DIPOLE,
         ]
         for q in queries:
             ws = kernel_schrodinger(atom, excited, q)
