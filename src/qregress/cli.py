@@ -8,6 +8,7 @@ Subcommands: evolve, correlate, oracle, ito, verify, classical.  Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from dataclasses import replace
 
@@ -24,9 +25,9 @@ from .collision import (
     oracle_kernel_joint_mixed,
     oracle_kernel_sequential,
 )
-from .errors import QRegressError
-from .linalg import unvec, vec
-from .model import atom_model
+from .errors import QRegressError, ValidationError
+from .linalg import vec
+from .model import DensityOperator, atom_model
 from .regression import kernel_heisenberg, kernel_schrodinger
 from .semigroup import generator_matrix, propagators
 from .verify import run_all
@@ -63,30 +64,54 @@ def cmd_evolve(args) -> int:
         raise UsageError(f"--steps must be >= 1, got {args.steps}")
     if not 0 < args.t_end < np.inf:
         raise UsageError(f"--t-end must be positive and finite, got {args.t_end}")
-    d = model.dim
     h = args.t_end / args.steps
     step = propagators(generator_matrix(model, "schrodinger").mat, (h,))[h]
+    io.write_output(_evolution_csv(step, rho, args.t_end, args.steps), args.out)
+    return EXIT_OK
+
+
+# cells formatted per % operation, so the per-block argument tuple stays small
+_CSV_BLOCK_CELLS = 1 << 16
+
+
+def _evolution_csv(step: np.ndarray, rho: DensityOperator, t_end: float, steps: int) -> str:
+    """CSV of t, the row-major re/im pairs of each state, and its trace.
+
+    The states are held as one (steps + 1, d^2) array, so a --steps whose
+    array cannot be allocated fails before the first step.
+    """
+    d = rho.dim
+    try:
+        vs = np.empty((steps + 1, d * d), dtype=np.complex128)
+    except ValueError as exc:  # more entries than an array can index
+        raise ValidationError(f"--steps {steps}: {exc}") from exc
+    vs[0] = vec(rho.rho)
+    for k in range(steps):
+        vs[k + 1] = step @ vs[k]
+    ts = np.arange(steps + 1) * t_end / steps
+    # the diagonal of the column-stacked state sits at every (d+1)th entry
+    traces = vs[:, :: d + 1].sum(axis=1)
+    drifted = np.flatnonzero(np.abs(traces - 1.0) > 1e-10)
+    if drifted.size:
+        k = drifted[0]
+        raise NumericalViolation(
+            f"trace drifted to {complex(traces[k]):.12g} at t = {float(ts[k]):.6g}"
+        )
     header = ["t"]
     for i in range(d):
         for j in range(d):
             header += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
     header.append("trace")
-    lines = [",".join(header)]
-    v = vec(rho.rho)
-    for k in range(args.steps + 1):
-        t = k * args.t_end / args.steps
-        sigma = unvec(v, d)
-        trace = np.trace(sigma)
-        if abs(trace - 1.0) > 1e-10:
-            raise NumericalViolation(
-                f"trace drifted to {trace:.12g} at t = {t:.6g}"
-            )
-        # row-major re/im pairs, the header's column order
-        cells = (t, *sigma.reshape(-1).view(np.float64), trace.real)
-        lines.append(",".join(map(io.format_float, cells)))
-        v = step @ v
-    io.write_output("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
+    parts = [",".join(header) + "\n"]
+    block = max(1, _CSV_BLOCK_CELLS // (2 * d * d + 2))
+    for lo in range(0, steps + 1, block):
+        rows = slice(lo, lo + block)
+        # unvec each row, then row-major re/im pairs: the header's column order
+        sigmas = vs[rows].reshape(-1, d, d).swapaxes(1, 2).reshape(-1, d * d)
+        parts.append(io.csv_rows(np.column_stack(
+            (ts[rows], sigmas.view(np.float64), traces[rows].real)
+        )))
+    return "".join(parts)
 
 
 def _correlate_value(mode, model, rho, query, cfg) -> complex:
@@ -221,7 +246,13 @@ def _add_collision_flags(p):
                    help="joint-mode state-vector entry budget (default %(default)s)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    It names each subcommand but holds no reference to its ``cmd_*``
+    function: ``main`` looks that up when it dispatches.
+    """
     parser = _Parser(prog="qregress", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -229,35 +260,29 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--t-end", type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    p.set_defaults(func=cmd_evolve)
 
     p = sub.add_parser("correlate", help="multi-time correlation kernel")
     _add_io_flags(p, query=True)
     p.add_argument("--mode", choices=MODES, default="qrt-schrodinger")
     _add_collision_flags(p)
-    p.set_defaults(func=cmd_correlate)
 
     p = sub.add_parser("oracle", help="oracle convergence report at dt and dt/2")
     _add_io_flags(p, query=True)
     p.add_argument("--mode", choices=("oracle-seq", "oracle-joint"), default="oracle-seq")
     _add_collision_flags(p)
-    p.set_defaults(func=cmd_oracle)
 
     p = sub.add_parser("ito", help="vacuum increment moments")
     p.add_argument("--dt", type=float, default=0.01)
     p.add_argument("--trunc", type=int, default=2)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_ito)
 
     p = sub.add_parser("verify", help="run every property suite")
     p.add_argument("--model", default=None, help="extra model to include in the suites")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="also write a JSON report here")
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("classical", help="quantum vs classical chain comparison")
     _add_io_flags(p, query=True)
-    p.set_defaults(func=cmd_classical)
 
     return parser
 
@@ -268,7 +293,9 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         # overflow, 0/0 and x/0 raise here instead of writing nan or inf
         with np.errstate(over="raise", invalid="raise", divide="raise"):
-            return args.func(args)
+            # looked up at call time, so replacing a cmd_* module attribute
+            # (as a tracer does) reaches the cached parser's dispatch
+            return globals()[f"cmd_{args.command}"](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION

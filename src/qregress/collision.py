@@ -45,7 +45,7 @@ from .errors import (
     GridAlignmentError,
     ValidationError,
 )
-from .linalg import as_complex_matrix, dag, mat_exp, unvec, vec
+from .linalg import as_complex_matrix, dag, kron, mat_exp, unvec, vec
 from .model import DensityOperator, SystemModel
 from .regression import CorrelationQuery, _check_dims
 
@@ -105,8 +105,8 @@ def step_unitary(model: SystemModel, cfg: CollisionConfig) -> np.ndarray:
     """One-collision unitary on system (x) slot."""
     a = slot_annihilator(cfg.trunc)
     eye_slot = np.eye(cfg.trunc, dtype=np.complex128)
-    gen = -1j * cfg.dt * np.kron(model.H, eye_slot) + np.sqrt(cfg.dt) * (
-        np.kron(model.L, dag(a)) - np.kron(dag(model.L), a)
+    gen = -1j * cfg.dt * kron(model.H, eye_slot) + np.sqrt(cfg.dt) * (
+        kron(model.L, dag(a)) - kron(dag(model.L), a)
     )
     return mat_exp(gen)
 
@@ -123,7 +123,7 @@ def collision_channel(model: SystemModel, cfg: CollisionConfig) -> np.ndarray:
     mat = np.zeros((d * d, d * d), dtype=np.complex128)
     for k in range(m):
         kraus = U4[:, k, :, 0]
-        mat += np.kron(kraus.conj(), kraus)
+        mat += kron(kraus.conj(), kraus)
     return mat
 
 
@@ -280,7 +280,7 @@ def _field_quadrature(f_vals: Sequence[complex], cfg: CollisionConfig) -> np.nda
         factors[j] = a
         term = factors[0]
         for fac in factors[1:]:
-            term = np.kron(term, fac)
+            term = kron(term, fac)
         out += np.conj(fj) * np.sqrt(cfg.dt) * term
     return out
 

@@ -17,8 +17,19 @@ from .model import DensityOperator, SystemModel, density_from_matrix, validate_m
 from .regression import CorrelationQuery
 
 
+# 17 significant digits: every float64 round-trips through its text
+FLOAT_SPEC = ".16e"
+
+
 def format_float(x: float) -> str:
-    return format(float(x), ".16e")
+    return format(float(x), FLOAT_SPEC)
+
+
+def csv_rows(cells: np.ndarray) -> str:
+    """A 2-d float array as CSV lines, each cell written as format_float writes it."""
+    rows, cols = cells.shape
+    line = ",".join([f"%{FLOAT_SPEC}"] * cols) + "\n"
+    return (line * rows) % tuple(cells.reshape(-1).tolist())
 
 
 def parse_matrix(data, where: str) -> np.ndarray:

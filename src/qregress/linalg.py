@@ -71,8 +71,15 @@ def mat_exp(mat) -> np.ndarray:
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product, (A kron B)[i*rB+k, j*cB+l] = A[i,j] B[k,l]."""
-    return np.kron(as_complex_matrix(a, "kron A"), as_complex_matrix(b, "kron B"))
+    """Kronecker product, (A kron B)[i*rB+k, j*cB+l] = A[i,j] B[k,l].
+
+    One broadcast product, the same entrywise products as ``np.kron``
+    without its general n-d setup.
+    """
+    a = as_complex_matrix(a, "kron A")
+    b = as_complex_matrix(b, "kron B")
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
 
 def partial_trace(mat, dims: tuple[int, int], keep: int) -> np.ndarray:

@@ -479,7 +479,7 @@ def check_conditional_expectation(seed: int) -> list[CheckResult]:
     for _ in range(6):
         A = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         Bp = rng.standard_normal((d * m, d * m)) + 1j * rng.standard_normal((d * m, d * m))
-        B = np.kron(Bp, np.eye(m ** (slots - 1), dtype=np.complex128))
+        B = kron(Bp, np.eye(m ** (slots - 1), dtype=np.complex128))
         lhs = vacuum_conditional_expectation(A @ B, d, m, slots, cut=1)
         rhs = vacuum_conditional_expectation(A, d, m, slots, cut=1) @ Bp
         worst_module = max(worst_module, np.abs(lhs - rhs).max())
@@ -495,7 +495,7 @@ def check_conditional_expectation(seed: int) -> list[CheckResult]:
         system_block = p6[:, 0, 0, :, 0, 0]
         worst_markov = max(
             worst_markov,
-            np.abs(collapsed - np.kron(system_block, np.eye(m))).max(),
+            np.abs(collapsed - kron(system_block, np.eye(m))).max(),
         )
     return [
         _le("collision.conditional_module_property", worst_module, 1e-12),

@@ -15,9 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qregress.cli import main
-from qregress.io import load_density, load_model, load_query
+from qregress import cli
+from qregress.cli import NumericalViolation, build_parser, main
+from qregress.io import csv_rows, format_float, load_density, load_model, load_query, matrix_to_pairs
+from qregress.linalg import unvec, vec
 from qregress.regression import kernel_schrodinger
+from qregress.semigroup import generator_matrix, propagators
+from qregress.verify import random_density, random_model
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 MODEL = str(DATA / "atom_model.json")
@@ -150,6 +154,110 @@ class TestEvolve:
         )
         assert code == 1
         assert "steps" in err
+
+
+def loop_evolve_csv(step, rho, t_end, steps):
+    """Reference: one unvec, trace and format call per row, row by row.
+
+    Raises NumericalViolation with the message of the first drifting row.
+    """
+    d = rho.dim
+    header = ["t"]
+    for i in range(d):
+        for j in range(d):
+            header += [f"rho_{i}_{j}_re", f"rho_{i}_{j}_im"]
+    header.append("trace")
+    lines = [",".join(header)]
+    v = vec(rho.rho)
+    for k in range(steps + 1):
+        t = k * t_end / steps
+        sigma = unvec(v, d)
+        trace = np.trace(sigma)
+        if abs(trace - 1.0) > 1e-10:
+            raise NumericalViolation(f"trace drifted to {trace:.12g} at t = {t:.6g}")
+        cells = (t, *sigma.reshape(-1).view(np.float64), trace.real)
+        lines.append(",".join(format(float(x), ".16e") for x in cells))
+        v = step @ v
+    return "\n".join(lines) + "\n"
+
+
+def evolve_files(tmp_path, seed, d):
+    rng = np.random.default_rng(seed)
+    model, rho = random_model(rng, d), random_density(rng, d)
+    model_path = write_json(tmp_path / "model.json",
+                            {"dim": d, "H": matrix_to_pairs(model.H), "L": matrix_to_pairs(model.L)})
+    rho_path = write_json(tmp_path / "rho.json", {"dim": d, "rho": matrix_to_pairs(rho.rho)})
+    return model_path, rho_path
+
+
+def evolve_step(model_path, t_end, steps):
+    h = t_end / steps
+    return propagators(generator_matrix(load_model(model_path), "schrodinger").mat, (h,))[h]
+
+
+class TestEvolveMatchesRowLoop:
+    @pytest.mark.parametrize("steps", [1, 37, 500])
+    @pytest.mark.parametrize("d", [2, 3, 5, 8, 9, 16])
+    def test_csv_is_byte_identical(self, capsys, tmp_path, d, steps):
+        model, rho = evolve_files(tmp_path, 100 * d + steps, d)
+        out = tmp_path / "evolve.csv"
+        code, _, _ = run(["evolve", "--model", model, "--rho", rho, "--t-end", "1.5",
+                          "--steps", str(steps), "--out", str(out)], capsys)
+        assert code == 0
+        expected = loop_evolve_csv(evolve_step(model, 1.5, steps), load_density(rho), 1.5, steps)
+        assert out.read_text() == expected
+
+    def test_drift_names_the_first_drifting_row(self, capsys, tmp_path, monkeypatch):
+        model, rho = evolve_files(tmp_path, 7, 3)
+
+        def drifting(generator, durations):
+            return {h: (1 + 5e-11) * P for h, P in propagators(generator, durations).items()}
+
+        with pytest.raises(NumericalViolation) as expected:
+            loop_evolve_csv((1 + 5e-11) * evolve_step(model, 2.0, 37), load_density(rho), 2.0, 37)
+        monkeypatch.setattr(cli, "propagators", drifting)
+        out = tmp_path / "evolve.csv"
+        code, _, err = run(["evolve", "--model", model, "--rho", rho, "--t-end", "2.0",
+                            "--steps", "37", "--out", str(out)], capsys)
+        assert code == 2
+        assert err == f"numerical property violation: {expected.value}\n"
+        assert not out.exists()
+
+
+def test_csv_rows_writes_each_cell_as_format_float_does():
+    special = [0.0, -0.0, 2.0**-1074, -2.0**-1022, np.finfo(float).max, -np.finfo(float).max,
+               np.inf, -np.inf, np.nan, 0.1, -1 / 3, 1e-300, 123456789.125]
+    rng = np.random.default_rng(0)
+    cells = np.array(special + list(rng.standard_normal(11) * 10.0 ** rng.integers(-300, 300, 11)))
+    cells = cells.reshape(4, 6)
+    expected = "".join(",".join(map(format_float, row)) + "\n" for row in cells)
+    assert csv_rows(cells) == expected
+
+
+class TestParser:
+    def test_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_usage_error_leaves_the_parser_usable(self, capsys):
+        code, _, err = run(["ito", "--bogus"], capsys)
+        assert code == 1 and err.startswith("usage error:")
+        code, out, _ = run(["ito", "--dt", "0.5", "--trunc", "3"], capsys)
+        assert code == 0
+        assert json.loads(out)["dt"] == 0.5
+
+    def test_defaults_survive_an_earlier_flag(self, capsys):
+        argv = ["correlate", *FILES, "--query", QUERY, "--mode", "oracle-seq"]
+        code, out, _ = run(argv + ["--dt", "0.0625"], capsys)
+        assert code == 0 and json.loads(out)["dt"] == 0.0625
+        code, out, _ = run(argv, capsys)
+        assert code == 0 and json.loads(out)["dt"] == 0.01
+
+    def test_dispatch_reads_the_module_attribute(self, capsys, monkeypatch):
+        assert run(["ito", "--dt", "0.5"], capsys)[0] == 0
+        calls = []
+        monkeypatch.setattr(cli, "cmd_ito", lambda args: calls.append(args.dt) or 0)
+        assert run(["ito", "--dt", "0.25"], capsys) == (0, "", "")
+        assert calls == [0.25]
 
 
 class TestCorrelate:
@@ -651,6 +759,29 @@ def test_allocation_failure_is_one_line(argv, tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == "" and not out.exists()
     assert proc.stderr.startswith("validation error: Unable to allocate")
+    assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("steps,message", [
+    # (steps + 1) x 4 complex entries; a row loop at about 30 us a row would
+    # run for about a year
+    ("1000000000000", "validation error: Unable to allocate"),
+    ("1" + "0" * 30, "validation error: --steps 1" + "0" * 30),
+], ids=["unallocatable", "unindexable"])
+def test_huge_evolve_steps_is_one_line(tmp_path, steps, message):
+    out = tmp_path / "evolve.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "qregress.cli", "evolve", *FILES, "--t-end", "3",
+         "--steps", steps, "--out", str(out)],
+        capture_output=True,
+        text=True,
+        timeout=10,
+        preexec_fn=_cap_address_space,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 1
+    assert proc.stdout == "" and not out.exists()
+    assert proc.stderr.startswith(message)
     assert proc.stderr.count("\n") == 1
 
 

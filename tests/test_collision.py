@@ -1,5 +1,6 @@
 import ast
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -164,7 +165,7 @@ class TestJointOracle:
             assert abs(w - 1.0) <= 1e-10
 
     def test_first_order_convergence(self, atom, excited):
-        q = CorrelationQuery(times=(0.125, 0.25), a_ops=(SM, I2), b_ops=(I2, SM))
+        q = replace(DIPOLE, times=tuple(t / 4 for t in DIPOLE.times))
         exact = kernel_schrodinger(atom, excited, q)
         errs = [
             abs(oracle_kernel_joint(atom, EXCITED_KET, q, CollisionConfig(dt=dt)) - exact)

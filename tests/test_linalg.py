@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -74,6 +77,30 @@ class TestKron:
         rng = np.random.default_rng(0)
         A, B, C = (rng.integers(-3, 4, size=(2, 2)).astype(complex) for _ in range(3))
         np.testing.assert_array_equal(kron(kron(A, B), C), kron(A, kron(B, C)))
+
+    @pytest.mark.parametrize("shape_a,shape_b", [((1, 1), (1, 1)), ((2, 3), (3, 2)), ((4, 4), (4, 4))])
+    def test_bitwise_equal_to_numpy(self, shape_a, shape_b):
+        rng = np.random.default_rng(sum(shape_a) + 10 * sum(shape_b))
+        values = np.array([0.0, -0.0, 1.0, -1.5, 2.0**-1074, np.pi])
+        A, B = (rng.choice(values, s) + 1j * rng.choice(values, s) for s in (shape_a, shape_b))
+        pairs = [(A, B), (A, np.eye(shape_b[0])), (np.eye(shape_a[0]), B)]
+        for a, b in pairs:
+            got = kron(a, b)
+            want = np.kron(a.astype(np.complex128), b.astype(np.complex128))
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def test_numpy_kron_is_called_only_in_linalg():
+    # one Kronecker product for the package: linalg.kron validates its operands
+    src = Path(__file__).resolve().parent.parent / "src" / "qregress"
+    callers = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and node.attr == "kron"
+                    and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+                callers.append(path.name)
+    assert not [name for name in callers if name != "linalg.py"]
 
 
 class TestPartialTrace:
