@@ -17,7 +17,6 @@ import numpy as np
 from . import io
 from .classical import compare_quantum_classical
 from .collision import (
-    ITO_TOL,
     MOMENT_NAMES,
     CollisionConfig,
     DEFAULT_BUDGET,
@@ -179,9 +178,9 @@ def cmd_ito(args) -> int:
     }
     io.write_output(io.json_text(result), args.out)
     over = [f"{key} = {result[key]:.3g}"
-            for key in ("max_moment_error", "commutator_defect") if result[key] > ITO_TOL]
+            for key in ("max_moment_error", "commutator_defect") if result[key] > report.bound]
     if over:
-        raise NumericalViolation(f"{', '.join(over)} above the bound {ITO_TOL:g}")
+        raise NumericalViolation(f"{', '.join(over)} above the bound {report.bound:g}")
     return EXIT_OK
 
 

@@ -51,7 +51,8 @@ from .regression import CorrelationQuery, _check_dims
 
 GRID_ATOL = 1e-12
 DEFAULT_BUDGET = 200_000
-# the vacuum moments and the commutator below truncation are exact up to rounding
+# the vacuum moments and the commutator below truncation are exact up to
+# rounding, which scales with dt above dt = 1 (ItoReport.bound)
 ITO_TOL = 1e-15
 UNIT_ROUNDOFF = 2.0**-53
 MOMENT_NAMES = ("bb_dag", "bdag_b", "bb", "bdag_bdag")
@@ -266,6 +267,11 @@ class ItoReport:
     @property
     def moment_error(self) -> float:
         return max(abs(m - e) for m, e in zip(self.moments, self.expected))
+
+    @property
+    def bound(self) -> float:
+        """``ITO_TOL`` times max(1, dt): the entries are O(dt), so is their rounding."""
+        return ITO_TOL * max(1.0, self.dt)
 
 
 def _field_quadrature(f_vals: Sequence[complex], cfg: CollisionConfig) -> np.ndarray:

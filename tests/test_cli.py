@@ -408,6 +408,27 @@ class TestIto:
         )
         assert "max_moment_error" not in err
 
+    @pytest.mark.parametrize("dt", ["10", "1000"])
+    def test_large_dt_rounding_is_within_the_bound(self, capsys, dt):
+        # sqrt(10)**2 is one ulp above 10: rounding at the scale of dt
+        code, out, err = run(["ito", "--dt", dt], capsys)
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        assert max(result["max_moment_error"], result["commutator_defect"]) <= 1e-15 * float(dt)
+
+    def test_large_dt_still_rejects_a_wrong_increment(self, capsys, monkeypatch):
+        from qregress import collision
+
+        exact = collision.slot_annihilator
+        monkeypatch.setattr(collision, "slot_annihilator", lambda m: exact(m) * (1 + 1e-14))
+        code, out, err = run(["ito", "--dt", "10"], capsys)
+        assert code == 2
+        result = json.loads(out)
+        assert err == (
+            f"numerical property violation: max_moment_error = {result['max_moment_error']:.3g}, "
+            f"commutator_defect = {result['commutator_defect']:.3g} above the bound 1e-14\n"
+        )
+
 
 class TestClassicalCommand:
     def test_number_query(self, capsys, tmp_path):

@@ -1,14 +1,25 @@
 import ast
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg  # test-only: the independent reference for mat_exp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from qregress import DimensionError, ValidationError, choi_matrix, kron, mat_exp, partial_trace
+from qregress import DimensionError, SystemModel, ValidationError, choi_matrix, kron, mat_exp, partial_trace
 from qregress.linalg import EXP_NORM_LIMIT, matrix_unit, unvec, vec
+from qregress.semigroup import PICTURES, generator_matrix
+from qregress.verify import random_model
+
+# Higham (2005), Table 2.3: the largest 1-norm served by the degree 3, 5, 7, 9
+# and 13 Pade approximants; mat_exp changes degree (or halves once more) there
+THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+          2.097847961257068e0, 5.371920351148152e0)
+# mat_exp's accuracy contract, relative in the Frobenius norm
+EXP_RTOL = 1e-12
 
 
 def complex_matrices(dim, scale=3.0):
@@ -59,6 +70,67 @@ class TestMatExp:
     def test_adjoint_commutes(self, M):
         err = np.linalg.norm(mat_exp(M).conj().T - mat_exp(M.conj().T))
         assert err <= 1e-12
+
+
+def expm_rel_err(A) -> float:
+    """Relative Frobenius distance of mat_exp(A) from scipy.linalg.expm(A)."""
+    ref = scipy.linalg.expm(A)
+    return float(np.linalg.norm(mat_exp(A) - ref) / np.linalg.norm(ref))
+
+
+def random_complex(rng, side, frobenius):
+    A = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    return A * (frobenius / np.linalg.norm(A))
+
+
+class TestMatExpAgainstScipy:
+    @pytest.mark.parametrize("side", [2, 4, 9, 16, 64])
+    def test_random_grid(self, side):
+        rng = np.random.default_rng(side)
+        for frobenius in np.geomspace(1e-3, 49.9, 16):
+            assert expm_rel_err(random_complex(rng, side, frobenius)) <= EXP_RTOL
+
+    def test_side_256(self):
+        rng = np.random.default_rng(256)
+        for frobenius in (0.1, 49.9):
+            assert expm_rel_err(random_complex(rng, 256, frobenius)) <= EXP_RTOL
+
+    @pytest.mark.parametrize("side", [2, 4, 16])
+    @pytest.mark.parametrize("theta", [*THETAS, 2 * THETAS[-1], 4 * THETAS[-1]])
+    def test_one_norm_on_both_sides_of_theta(self, side, theta):
+        rng = np.random.default_rng(side)
+        for target, side_of_theta in ((theta * (1 - 1e-9), -1), (theta * (1 + 1e-9), 1)):
+            A = random_complex(rng, side, 1.0)
+            A *= target / np.abs(A).sum(0).max()
+            assert np.sign(np.abs(A).sum(0).max() - theta) == side_of_theta
+            assert expm_rel_err(A) <= EXP_RTOL
+
+    @pytest.mark.parametrize("dim", [2, 3, 4, 8])
+    def test_lindblad_generators(self, dim):
+        model = random_model(np.random.default_rng(40 + dim), dim)
+        for picture in PICTURES:
+            G = generator_matrix(model, picture).mat
+            for frobenius in (1e-3, 0.3, 3.0, 30.0, 49.9):
+                assert expm_rel_err(G * (frobenius / np.linalg.norm(G))) <= EXP_RTOL
+
+    @pytest.mark.parametrize("side", [2, 4, 9, 16])
+    def test_nilpotent_jordan_block(self, side):
+        J = np.eye(side, k=1, dtype=np.complex128)
+        for scale in (1e-3, 0.5, 3.0, 49.9 / np.sqrt(side - 1)):
+            A = scale * J
+            assert expm_rel_err(A) <= EXP_RTOL
+            # exp(c J) has c^k / k! on its k-th superdiagonal
+            exact = sum(np.eye(side, k=k) * scale**k / math.factorial(k) for k in range(side))
+            assert np.linalg.norm(mat_exp(A) - exact) <= EXP_RTOL * np.linalg.norm(exact)
+
+    def test_driven_qubit_exceptional_point(self):
+        # H = sigma_x / 8, L = sigma_-: the generator is defective (kappa_1 = 2.3e8)
+        model = SystemModel(dim=2, H=np.array([[0, 1], [1, 0]]) / 8,
+                            L=np.array([[0, 1], [0, 0]]))
+        for picture in PICTURES:
+            G = generator_matrix(model, picture).mat
+            for tau in (1e-3, 0.3, 2.0, 9.0, 49.9 / np.linalg.norm(G)):
+                assert expm_rel_err(G * tau) <= EXP_RTOL
 
 
 class TestKron:
