@@ -46,11 +46,9 @@ from .model import (
     DensityOperator,
     SystemModel,
     atom_model,
-    density_from_matrix,
     lindblad_heisenberg,
     lindblad_schrodinger,
     pure_density,
-    validate_model,
 )
 from .regression import (
     CorrelationQuery,
@@ -88,7 +86,6 @@ __all__ = [
     "collision_channel",
     "compare_quantum_classical",
     "dag",
-    "density_from_matrix",
     "diagonal_invariance_check",
     "generator_matrix",
     "ito_table_check",
@@ -110,6 +107,5 @@ __all__ = [
     "two_time",
     "unvec",
     "vacuum_conditional_expectation",
-    "validate_model",
     "vec",
 ]

@@ -92,14 +92,13 @@ def classical_correlation(
     return float(W.sum())
 
 
-def diagonal_invariance_check(
-    model: SystemModel,
-) -> tuple[bool, np.ndarray | None]:
+def diagonal_invariance_check(model: SystemModel) -> np.ndarray | None:
     """Does the Schrodinger generator preserve the diagonal subalgebra?
 
     If yes, returns the induced rate generator with Q[j, i] the rate from
     basis state i to j; its columns sum to zero (transpose it for
-    :class:`ClassicalChain`, which uses the row convention).
+    :class:`ClassicalChain`, which uses the row convention).  If not,
+    returns None.
     """
     d = model.dim
     Q = np.zeros((d, d))
@@ -107,12 +106,12 @@ def diagonal_invariance_check(
         image = lindblad_schrodinger(model, matrix_unit(d, i, i))
         off = image - np.diag(np.diag(image))
         if np.abs(off).max() > DIAGONAL_TOL:
-            return False, None
+            return None
         column = np.diag(image)
         if np.abs(column.imag).max() > DIAGONAL_TOL:
-            return False, None
+            return None
         Q[:, i] = column.real
-    return True, Q
+    return Q
 
 
 class ComparisonResult(NamedTuple):
@@ -135,8 +134,8 @@ def compare_quantum_classical(
     b operators, and identity a operators; violations raise instead of being
     silently ignored.
     """
-    invariant, Q_col = diagonal_invariance_check(model)
-    if not invariant:
+    Q_col = diagonal_invariance_check(model)
+    if Q_col is None:
         raise ValidationError("model does not preserve the diagonal subalgebra")
     d = model.dim
     off = rho.rho - np.diag(np.diag(rho.rho))

@@ -26,7 +26,7 @@ from .collision import (
 )
 from .errors import QRegressError, ValidationError
 from .linalg import vec
-from .model import DensityOperator, atom_model
+from .model import DENSITY_TRACE_TOL, DensityOperator, atom_model
 from .regression import kernel_heisenberg, kernel_schrodinger
 from .semigroup import generator_matrix, propagators
 from .verify import run_all
@@ -90,7 +90,7 @@ def _evolution_csv(step: np.ndarray, rho: DensityOperator, t_end: float, steps: 
     ts = np.arange(steps + 1) * t_end / steps
     # the diagonal of the column-stacked state sits at every (d+1)th entry
     traces = vs[:, :: d + 1].sum(axis=1)
-    drifted = np.flatnonzero(np.abs(traces - 1.0) > 1e-10)
+    drifted = np.flatnonzero(np.abs(traces - 1.0) > DENSITY_TRACE_TOL)
     if drifted.size:
         k = drifted[0]
         raise NumericalViolation(
@@ -177,10 +177,12 @@ def cmd_ito(args) -> int:
         "commutator_defect": report.commutator_defect,
     }
     io.write_output(io.json_text(result), args.out)
-    over = [f"{key} = {result[key]:.3g}"
-            for key in ("max_moment_error", "commutator_defect") if result[key] > report.bound]
+    over = [f"{key} = {result[key]:.3g} above the bound {bound:g}"
+            for key, bound in (("max_moment_error", report.moment_bound),
+                               ("commutator_defect", report.commutator_bound))
+            if result[key] > bound]
     if over:
-        raise NumericalViolation(f"{', '.join(over)} above the bound {report.bound:g}")
+        raise NumericalViolation(", ".join(over))
     return EXIT_OK
 
 

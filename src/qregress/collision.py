@@ -46,13 +46,13 @@ from .errors import (
     ValidationError,
 )
 from .linalg import as_complex_matrix, dag, kron, mat_exp, unvec, vec
-from .model import DensityOperator, SystemModel
+from .model import STATE_NORM_TOL, DensityOperator, SystemModel
 from .regression import CorrelationQuery, _check_dims
 
 GRID_ATOL = 1e-12
 DEFAULT_BUDGET = 200_000
 # the vacuum moments and the commutator below truncation are exact up to
-# rounding, which scales with dt above dt = 1 (ItoReport.bound)
+# rounding, which scales with the compared entries (ItoReport's bounds)
 ITO_TOL = 1e-15
 UNIT_ROUNDOFF = 2.0**-53
 MOMENT_NAMES = ("bb_dag", "bdag_b", "bb", "bdag_bdag")
@@ -178,7 +178,7 @@ def oracle_kernel_joint(
         raise DimensionError(
             f"dimension mismatch: model {model.dim}, psi {factor.shape[0]}, query {query.dim}"
         )
-    if abs(np.linalg.norm(factor) - 1.0) > 1e-10:
+    if abs(np.linalg.norm(factor) - 1.0) > STATE_NORM_TOL:
         raise ValidationError(f"initial state norm {np.linalg.norm(factor):.12g} is not 1")
     indices = [grid_index(t, cfg.dt) for t in query.times]
     d, m, slots = model.dim, cfg.trunc, indices[-1]
@@ -269,9 +269,14 @@ class ItoReport:
         return max(abs(m - e) for m, e in zip(self.moments, self.expected))
 
     @property
-    def bound(self) -> float:
-        """``ITO_TOL`` times max(1, dt): the entries are O(dt), so is their rounding."""
+    def moment_bound(self) -> float:
+        """``ITO_TOL`` times max(1, dt): the moments are O(dt), so is their rounding."""
         return ITO_TOL * max(1.0, self.dt)
+
+    @property
+    def commutator_bound(self) -> float:
+        """``ITO_TOL`` times max(1, dt (trunc - 1)), the largest entry of B B^dag compared."""
+        return ITO_TOL * max(1.0, self.dt * (self.trunc - 1))
 
 
 def _field_quadrature(f_vals: Sequence[complex], cfg: CollisionConfig) -> np.ndarray:

@@ -3,6 +3,11 @@
 Complex matrices travel as nested arrays of [re, im] pairs.  All numeric
 output is written with 17 significant digits so results round-trip exactly
 and reruns are byte-identical.
+
+The loaders check only the file's own structure (fields, numbers, square
+matrices, a ``dim`` that agrees with rho).  They then build
+:class:`~qregress.model.SystemModel` or :class:`~qregress.model.DensityOperator`,
+the only validators of models and states.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .model import DensityOperator, SystemModel, density_from_matrix, validate_model
+from .model import DensityOperator, SystemModel
 from .regression import CorrelationQuery
 
 
@@ -83,7 +88,7 @@ def load_model(path: str | Path) -> SystemModel:
             raise ValidationError(f"{path}: missing field '{key}'")
     H = parse_matrix(data["H"], f"{path}: H")
     L = parse_matrix(data["L"], f"{path}: L")
-    return validate_model(H, L, dim=_dim(data, path))
+    return SystemModel(dim=_dim(data, path), H=H, L=L)
 
 
 def load_density(path: str | Path) -> DensityOperator:
@@ -92,9 +97,10 @@ def load_density(path: str | Path) -> DensityOperator:
         if key not in data:
             raise ValidationError(f"{path}: missing field '{key}'")
     rho = parse_matrix(data["rho"], f"{path}: rho")
-    if rho.shape[0] != _dim(data, path):
+    dim = _dim(data, path)
+    if rho.shape[0] != dim:
         raise ValidationError(f"{path}: rho shape {rho.shape} contradicts dim {data['dim']}")
-    return density_from_matrix(rho)
+    return DensityOperator(dim=dim, rho=rho)
 
 
 def _matrices(data: dict, key: str, path: str | Path) -> tuple[np.ndarray, ...]:

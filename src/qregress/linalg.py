@@ -81,11 +81,9 @@ def vec(mat: np.ndarray) -> np.ndarray:
     return np.asarray(mat).reshape(-1, order="F")
 
 
-def unvec(v: np.ndarray, dim: int | None = None) -> np.ndarray:
-    """Inverse of :func:`vec`; square by default."""
+def unvec(v: np.ndarray, dim: int) -> np.ndarray:
+    """Inverse of :func:`vec` into a dim x dim matrix."""
     v = np.asarray(v).reshape(-1)
-    if dim is None:
-        dim = int(round(np.sqrt(v.size)))
     if dim * dim != v.size:
         raise DimensionError(f"cannot unvec length {v.size} into {dim}x{dim}")
     return v.reshape((dim, dim), order="F")

@@ -1,5 +1,10 @@
 """Quantum Markov model data (H, L, rho) and the Markov generators.
 
+:class:`SystemModel` and :class:`DensityOperator` are the only validators
+of models and states: every loader and helper builds one of them.  Their
+``__post_init__`` checks shape and Hermiticity, and for rho positivity and
+unit trace.  The unit-trace and unit-norm tolerances are defined here once.
+
 Basis convention for the two-level examples: index 0 is the ground state,
 index 1 the excited state, so the lowering operator has its single nonzero
 entry at (0, 1).
@@ -17,6 +22,7 @@ from .linalg import as_complex_matrix, dag
 HERMITICITY_RTOL = 1e-10
 DENSITY_EIG_TOL = 1e-10
 DENSITY_TRACE_TOL = 1e-10
+STATE_NORM_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -77,31 +83,13 @@ class DensityOperator:
         object.__setattr__(self, "rho", rho)
 
 
-def validate_model(H, L, dim: int | None = None) -> SystemModel:
-    """Build a checked :class:`SystemModel` from raw array data."""
-    H = as_complex_matrix(H, "H")
-    if H.shape[0] != H.shape[1]:
-        raise DimensionError(f"H must be square, got {H.shape}")
-    if dim is None:
-        dim = H.shape[0]
-    return SystemModel(dim=int(dim), H=H, L=as_complex_matrix(L, "L"))
-
-
-def density_from_matrix(rho) -> DensityOperator:
-    """Build a checked :class:`DensityOperator` from raw array data."""
-    rho = as_complex_matrix(rho, "rho")
-    if rho.shape[0] != rho.shape[1]:
-        raise DimensionError(f"rho must be square, got {rho.shape}")
-    return DensityOperator(dim=rho.shape[0], rho=rho)
-
-
 def pure_density(state) -> DensityOperator:
     """Density operator |psi><psi| of a normalized state vector."""
     psi = np.asarray(state, dtype=np.complex128).reshape(-1)
     norm = np.linalg.norm(psi)
-    if abs(norm - 1.0) > 1e-10:
+    if abs(norm - 1.0) > STATE_NORM_TOL:
         raise ValidationError(f"state vector norm {norm:.12g} is not 1")
-    return density_from_matrix(np.outer(psi, psi.conj()))
+    return DensityOperator(dim=psi.size, rho=np.outer(psi, psi.conj()))
 
 
 def atom_model(gamma: float = 1.0) -> SystemModel:

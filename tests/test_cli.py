@@ -377,34 +377,54 @@ class TestOracleCommand:
         assert result["halving_ratio"] is None
 
 
+def ito_report(dt, trunc=2):
+    """The report whose bounds `qregress ito --dt dt --trunc trunc` applies."""
+    from qregress import CollisionConfig, ito_table_check
+
+    return ito_table_check(CollisionConfig(dt=float(dt), trunc=int(trunc)))
+
+
 class TestIto:
     def test_moments(self, capsys):
         code, out, _ = run(["ito", "--dt", "0.01", "--trunc", "2"], capsys)
         assert code == 0
         result = json.loads(out)
-        assert abs(result["moments"]["bb_dag"][0] - 0.01) <= 1e-15
-        assert result["max_moment_error"] <= 1e-15
+        bound = ito_report(0.01).moment_bound
+        assert abs(result["moments"]["bb_dag"][0] - 0.01) <= bound
+        assert result["max_moment_error"] <= bound
 
     def test_expected_block_is_the_report_table(self, capsys):
-        from qregress import CollisionConfig, ito_table_check
         from qregress.collision import MOMENT_NAMES
 
         code, out, _ = run(["ito", "--dt", "0.25", "--trunc", "3"], capsys)
         assert code == 0
-        expected = ito_table_check(CollisionConfig(dt=0.25, trunc=3)).expected
+        expected = ito_report(0.25, 3).expected
         assert json.loads(out)["expected"] == {
             name: [complex(e).real, complex(e).imag] for name, e in zip(MOMENT_NAMES, expected)
         }
 
-    def test_failure_names_the_quantity_over_the_bound(self, capsys):
-        # the moments are exact here; the 300-level commutator rounds to 1.12e-15
-        code, out, err = run(["ito", "--dt", "0.01", "--trunc", "300"], capsys)
+    def test_failure_names_the_quantity_over_the_bound(self, capsys, monkeypatch):
+        # a wrong commutator at level 1: the entries above level 1 are
+        # scaled, so the moments, which only see level 1, stay exact
+        from qregress import collision
+
+        exact = collision.slot_annihilator
+
+        def skewed(m):
+            a = exact(m).copy()
+            a[:, 2:] *= 1 + 1e-12
+            return a
+
+        monkeypatch.setattr(collision, "slot_annihilator", skewed)
+        code, out, err = run(["ito", "--trunc", "3"], capsys)
         assert code == 2
         result = json.loads(out)
-        assert result["max_moment_error"] <= 1e-15 < result["commutator_defect"]
+        report = ito_report(0.01, 3)
+        assert result["max_moment_error"] <= report.moment_bound
+        assert report.commutator_bound < result["commutator_defect"]
         assert err == (
             "numerical property violation: commutator_defect = "
-            f"{result['commutator_defect']:.3g} above the bound 1e-15\n"
+            f"{result['commutator_defect']:.3g} above the bound {report.commutator_bound:g}\n"
         )
         assert "max_moment_error" not in err
 
@@ -414,7 +434,20 @@ class TestIto:
         code, out, err = run(["ito", "--dt", dt], capsys)
         assert (code, err) == (0, "")
         result = json.loads(out)
-        assert max(result["max_moment_error"], result["commutator_defect"]) <= 1e-15 * float(dt)
+        report = ito_report(dt)
+        assert result["max_moment_error"] <= report.moment_bound
+        assert result["commutator_defect"] <= report.commutator_bound
+
+    @pytest.mark.parametrize("dt,trunc", [("0.5", "10"), ("1", "10"), ("0.01", "300"), ("10", "300")])
+    def test_exact_increment_passes_at_high_truncation(self, capsys, dt, trunc):
+        # the commutator's entries below the truncation reach dt * (trunc - 1)
+        # and round at that scale
+        code, out, err = run(["ito", "--dt", dt, "--trunc", trunc], capsys)
+        assert (code, err) == (0, "")
+        result = json.loads(out)
+        report = ito_report(dt, trunc)
+        assert result["max_moment_error"] <= report.moment_bound
+        assert result["commutator_defect"] <= report.commutator_bound
 
     def test_large_dt_still_rejects_a_wrong_increment(self, capsys, monkeypatch):
         from qregress import collision
@@ -424,9 +457,12 @@ class TestIto:
         code, out, err = run(["ito", "--dt", "10"], capsys)
         assert code == 2
         result = json.loads(out)
+        report = ito_report(10)
         assert err == (
-            f"numerical property violation: max_moment_error = {result['max_moment_error']:.3g}, "
-            f"commutator_defect = {result['commutator_defect']:.3g} above the bound 1e-14\n"
+            f"numerical property violation: max_moment_error = {result['max_moment_error']:.3g} "
+            f"above the bound {report.moment_bound:g}, "
+            f"commutator_defect = {result['commutator_defect']:.3g} "
+            f"above the bound {report.commutator_bound:g}\n"
         )
 
 
@@ -843,4 +879,5 @@ def test_console_script_runs():
         env={**os.environ},
     )
     assert proc.returncode == 0
-    assert json.loads(proc.stdout)["moments"]["bb_dag"][0] == pytest.approx(0.5, abs=1e-15)
+    bb_dag = json.loads(proc.stdout)["moments"]["bb_dag"][0]
+    assert abs(bb_dag - 0.5) <= ito_report(0.5, 3).moment_bound

@@ -251,7 +251,7 @@ class TestVec:
     def test_column_stacking_convention(self):
         A = np.array([[1, 2], [3, 4]], dtype=complex)
         np.testing.assert_array_equal(vec(A), np.array([1, 3, 2, 4]))
-        np.testing.assert_array_equal(unvec(vec(A)), A)
+        np.testing.assert_array_equal(unvec(vec(A), 2), A)
 
     def test_sandwich_matrix(self):
         rng = np.random.default_rng(5)

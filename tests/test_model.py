@@ -12,7 +12,6 @@ from qregress import (
     atom_model,
     lindblad_heisenberg,
     lindblad_schrodinger,
-    validate_model,
 )
 from qregress.verify import EYE2 as I2, NUMBER as NUM, SIGMA_MINUS as SM, SIGMA_PLUS as SP
 
@@ -28,16 +27,16 @@ def small_matrices(dim):
 
 class TestValidation:
     def test_atom_is_valid(self):
-        model = validate_model(np.zeros((2, 2)), SM)
+        model = SystemModel(dim=2, H=np.zeros((2, 2)), L=SM)
         assert model.dim == 2
 
     def test_rejects_non_hermitian_h(self):
         with pytest.raises(ValidationError):
-            validate_model(np.array([[0, 1], [0, 0]]), np.zeros((2, 2)))
+            SystemModel(dim=2, H=np.array([[0, 1], [0, 0]]), L=np.zeros((2, 2)))
 
     def test_rejects_dim_mismatch(self):
         with pytest.raises(DimensionError):
-            validate_model(np.zeros((2, 2)), np.zeros((3, 3)))
+            SystemModel(dim=2, H=np.zeros((2, 2)), L=np.zeros((3, 3)))
 
     def test_rejects_small_dim(self):
         with pytest.raises(ValidationError):
